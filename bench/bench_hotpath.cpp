@@ -1,9 +1,8 @@
 // Hot-path benchmark: wall-clock cost per simulated cycle for the RMT
-// fast path, against two embedded baselines measured on this machine:
-//   * PR 2 (commit d36886f) — pre message-pool, the original hot path.
-//   * PR 7 (commit 6408bb9) — post pool/ring/flit-burst work, pre
-//     flow-cache.  The flow-cache acceptance gate is measured against
-//     this one: the saturated event-kernel leg must show >= 1.3x.
+// fast path under the dense and event kernels, compared within the same
+// run (event/dense ratio), plus machine-independent work counters per
+// measured cycle: component ticks (kernel.component_ticks) and router
+// outputs folded by the NoC credit flush (noc.credit_flushes).
 //
 // Two scenarios, checked in as scenario files:
 //   * bench_hotpath_saturated.scenario — continuous near-line-rate
@@ -34,20 +33,6 @@ using namespace panic;
 
 namespace {
 
-// PR 2 baseline (commit d36886f, pre message-pool), measured on this
-// machine with bench_kernel_speedup's saturated scenario: the same mesh,
-// tenants, sources, and horizon as bench_hotpath_saturated.scenario.
-constexpr double kPr2DenseNsPerCycle = 2628.06;
-constexpr double kPr2EventNsPerCycle = 1902.83;
-constexpr const char* kPr2Commit = "d36886f";
-
-// PR 7 baseline (commit 6408bb9, pre flow-cache), same machine, same
-// saturated scenario.  The flow-cache acceptance gate: saturated event
-// leg >= 1.3x vs these numbers.
-constexpr double kPr7DenseNsPerCycle = 1232.902;
-constexpr double kPr7EventNsPerCycle = 1079.405;
-constexpr const char* kPr7Commit = "6408bb9";
-
 // Steady-state flow-cache hit-rate floor (machine-independent gate).
 constexpr double kMinHitRate = 0.90;
 
@@ -61,7 +46,9 @@ bool excluded_from_cache_diff(const std::string& name) {
 struct RunResult {
   double wall_ms = 0.0;
   double ns_per_cycle = 0.0;
-  std::uint64_t component_ticks = 0;
+  // Work counters over the measured window, per simulated cycle.
+  double ticks_per_cycle = 0.0;
+  double credit_flushes_per_cycle = 0.0;
   // Cross-check between modes.
   std::uint64_t delivered = 0;
   std::uint64_t flits = 0;
@@ -87,6 +74,7 @@ RunResult run_one(const scenario::Scenario& s, SimMode mode,
 
   run.run_warmup();
 
+  const auto before = run.sim().snapshot();
   const auto pool_before = MessagePool::instance().stats();
   const auto start = std::chrono::steady_clock::now();
   run.run_measure();
@@ -100,7 +88,13 @@ RunResult run_one(const scenario::Scenario& s, SimMode mode,
       std::chrono::duration<double, std::milli>(stop - start).count();
   r.ns_per_cycle =
       r.wall_ms * 1e6 / static_cast<double>(s.budget_cycles);
-  r.component_ticks = snap.counter("kernel.component_ticks");
+  const auto per_cycle = [&](const char* counter) {
+    return static_cast<double>(snap.counter(counter) -
+                               before.counter(counter)) /
+           static_cast<double>(s.budget_cycles);
+  };
+  r.ticks_per_cycle = per_cycle("kernel.component_ticks");
+  r.credit_flushes_per_cycle = per_cycle("noc.credit_flushes");
   r.delivered = snap.counter("engine.dma.packets_to_host");
   r.flits = static_cast<std::uint64_t>(snap.value("noc.flits_routed"));
   r.generated =
@@ -121,7 +115,7 @@ RunResult run_one(const scenario::Scenario& s, SimMode mode,
 
 int main(int argc, char** argv) {
   cli::ArgParser args("bench_hotpath",
-                      "ns/cycle vs PR2/PR7 baselines + flow-cache gates");
+                      "dense vs event ns/cycle + flow-cache gates");
   bool smoke = false;
   args.flag("smoke", "divide horizons by 10 for CI", &smoke);
   args.parse(argc, argv);
@@ -131,12 +125,11 @@ int main(int argc, char** argv) {
 
   struct Leg {
     const char* file;
-    bool saturated;  // speedup leg (vs baselines); steady gates hit rate
     scenario::Scenario scenario;
   };
   Leg legs[] = {
-      {"bench_hotpath_saturated.scenario", true, {}},
-      {"bench_hotpath_steady.scenario", false, {}},
+      {"bench_hotpath_saturated.scenario", {}},
+      {"bench_hotpath_steady.scenario", {}},
   };
   for (Leg& leg : legs) {
     std::string error;
@@ -159,17 +152,10 @@ int main(int argc, char** argv) {
                      ",\n  \"hardware_threads\": " +
                      std::to_string(hardware_threads) + ",\n";
   {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"baselines\": {\n"
-        "    \"pr2\": {\"commit\": \"%s\", \"dense_ns_per_cycle\": %.2f,"
-        " \"event_ns_per_cycle\": %.2f},\n"
-        "    \"pr7\": {\"commit\": \"%s\", \"dense_ns_per_cycle\": %.3f,"
-        " \"event_ns_per_cycle\": %.3f}\n  },\n"
-        "  \"min_hit_rate\": %.2f,\n  \"scenarios\": [",
-        kPr2Commit, kPr2DenseNsPerCycle, kPr2EventNsPerCycle, kPr7Commit,
-        kPr7DenseNsPerCycle, kPr7EventNsPerCycle, kMinHitRate);
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "  \"min_hit_rate\": %.2f,\n  \"scenarios\": [",
+                  kMinHitRate);
     json += buf;
   }
 
@@ -185,7 +171,8 @@ int main(int argc, char** argv) {
     // The two kernels must agree — a speedup on a diverging simulation
     // would be meaningless.
     if (dense.delivered != event.delivered || dense.flits != event.flits ||
-        dense.generated != event.generated) {
+        dense.generated != event.generated ||
+        dense.credit_flushes_per_cycle != event.credit_flushes_per_cycle) {
       std::fprintf(stderr, "FAIL %s: dense/event stats diverge\n", name);
       ok = false;
     }
@@ -239,35 +226,27 @@ int main(int argc, char** argv) {
       }
     }
 
-    // ns/cycle is machine-dependent, so speedups are only meaningful
-    // against baselines captured on the same machine; the pool-miss,
-    // hit-rate and cache-identity checks are the machine-independent
-    // acceptance gates.
-    const double dense_vs_pr2 =
-        leg.saturated ? kPr2DenseNsPerCycle / dense.ns_per_cycle : 0.0;
-    const double event_vs_pr2 =
-        leg.saturated ? kPr2EventNsPerCycle / event.ns_per_cycle : 0.0;
-    const double dense_vs_pr7 =
-        leg.saturated ? kPr7DenseNsPerCycle / dense.ns_per_cycle : 0.0;
-    const double event_vs_pr7 =
-        leg.saturated ? kPr7EventNsPerCycle / event.ns_per_cycle : 0.0;
+    // ns/cycle is machine-dependent, so the kernels are only compared
+    // within this run; the pool-miss, hit-rate and cache-identity checks
+    // are the machine-independent acceptance gates.
+    const double event_vs_dense = dense.ns_per_cycle > 0.0
+                                      ? event.ns_per_cycle / dense.ns_per_cycle
+                                      : 0.0;
 
     std::printf("--- %s (%llu warmup + %llu measured cycles, %llu packets)"
                 " ---\n",
                 name, static_cast<unsigned long long>(sc.warmup_cycles),
                 static_cast<unsigned long long>(sc.budget_cycles),
                 static_cast<unsigned long long>(event.delivered));
-    std::printf("  dense:  %8.1f ms  %7.2f ns/cycle", dense.wall_ms,
-                dense.ns_per_cycle);
-    if (leg.saturated)
-      std::printf("  (%.2fx vs PR2, %.2fx vs PR7)", dense_vs_pr2,
-                  dense_vs_pr7);
-    std::printf("\n  event:  %8.1f ms  %7.2f ns/cycle", event.wall_ms,
-                event.ns_per_cycle);
-    if (leg.saturated)
-      std::printf("  (%.2fx vs PR2, %.2fx vs PR7)", event_vs_pr2,
-                  event_vs_pr7);
-    std::printf("\n  cache:  hit rate %.4f (%llu hits / %llu misses),"
+    std::printf("  dense:  %8.1f ms  %7.2f ns/cycle  %7.2f ticks/cycle\n",
+                dense.wall_ms, dense.ns_per_cycle, dense.ticks_per_cycle);
+    std::printf("  event:  %8.1f ms  %7.2f ns/cycle  %7.2f ticks/cycle"
+                "  (event/dense %.3f)\n",
+                event.wall_ms, event.ns_per_cycle, event.ticks_per_cycle,
+                event_vs_dense);
+    std::printf("  noc:    %.3f credit flushes/cycle\n",
+                event.credit_flushes_per_cycle);
+    std::printf("  cache:  hit rate %.4f (%llu hits / %llu misses),"
                 " off-leg %7.2f ns/cycle, speedup %.2fx, identical=%s",
                 hit_rate, static_cast<unsigned long long>(event.cache_hits),
                 static_cast<unsigned long long>(event.cache_misses),
@@ -308,8 +287,9 @@ int main(int argc, char** argv) {
         "%s\n    {\"name\": \"%s\", \"warmup\": %llu, \"cycles\": %llu,"
         " \"dense_wall_ms\": %.3f, \"event_wall_ms\": %.3f,"
         " \"dense_ns_per_cycle\": %.3f, \"event_ns_per_cycle\": %.3f,"
-        " \"dense_speedup_vs_pr2\": %.3f, \"event_speedup_vs_pr2\": %.3f,"
-        " \"dense_speedup_vs_pr7\": %.3f, \"event_speedup_vs_pr7\": %.3f,"
+        " \"event_vs_dense\": %.3f,"
+        " \"dense_ticks_per_cycle\": %.3f, \"event_ticks_per_cycle\": %.3f,"
+        " \"credit_flushes_per_cycle\": %.3f,"
         " \"stats_match\": %s,"
         " \"cache\": {\"hits\": %llu, \"misses\": %llu,"
         " \"hit_rate\": %.4f, \"off_ns_per_cycle\": %.3f,"
@@ -320,8 +300,9 @@ int main(int argc, char** argv) {
         first ? "" : ",", name,
         static_cast<unsigned long long>(sc.warmup_cycles),
         static_cast<unsigned long long>(sc.budget_cycles), dense.wall_ms,
-        event.wall_ms, dense.ns_per_cycle, event.ns_per_cycle, dense_vs_pr2,
-        event_vs_pr2, dense_vs_pr7, event_vs_pr7,
+        event.wall_ms, dense.ns_per_cycle, event.ns_per_cycle, event_vs_dense,
+        dense.ticks_per_cycle, event.ticks_per_cycle,
+        event.credit_flushes_per_cycle,
         dense.delivered == event.delivered ? "true" : "false",
         static_cast<unsigned long long>(event.cache_hits),
         static_cast<unsigned long long>(event.cache_misses), hit_rate,

@@ -61,8 +61,12 @@ bool DmaEngine::process(Message& msg, Cycle now) {
   switch (msg.kind) {
     case MessageKind::kPacket: {
       // Deliver to the host RX ring.
+      const std::uint64_t span = (msg.data.size() + 63) & ~63ull;
+      if (next_ring_addr_ + span > kRxRingBase + kRxRingBytes) {
+        next_ring_addr_ = kRxRingBase;
+      }
       host_->write(next_ring_addr_, msg.data);
-      next_ring_addr_ += (msg.data.size() + 63) & ~63ull;
+      next_ring_addr_ += span;
       ++packets_to_host_;
       if (now >= msg.nic_ingress_at) {
         const Cycles latency = now - msg.nic_ingress_at;

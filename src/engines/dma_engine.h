@@ -4,8 +4,9 @@
 // of as switch ports, including the on-NIC DMA and PCIe engines").
 //
 // Handled message kinds:
-//   kPacket        — host-bound packet: written to the host RX ring, then
-//                    an interrupt message is emitted toward the PCIe tile.
+//   kPacket        — host-bound packet: written to the host RX ring (a
+//                    fixed region the writes wrap around in), then an
+//                    interrupt message is emitted toward the PCIe tile.
 //   kDmaRead       — returns a kDmaCompletion carrying the bytes to
 //                    msg->reply_to.
 //   kDmaWrite      — writes msg->data at msg->dma_addr; a zero-length
@@ -36,6 +37,15 @@ struct DmaConfig {
 
 class DmaEngine : public Engine {
  public:
+  /// The synthetic host RX ring: packets are written back to back and the
+  /// write pointer wraps to the base when the next one would cross the
+  /// end, so delivered traffic touches a bounded set of host pages.  It
+  /// sits below HostMemory::kAllocBase, disjoint from every allocate()d
+  /// region; nothing reads it back.
+  static constexpr std::uint64_t kRxRingBase = 0x80000;
+  static constexpr std::uint64_t kRxRingBytes = 0x80000;  // 512 KiB
+  static_assert(kRxRingBase + kRxRingBytes <= HostMemory::kAllocBase);
+
   DmaEngine(std::string name, noc::NetworkInterface* ni,
             const EngineConfig& config, const DmaConfig& dma,
             HostMemory* host);
@@ -67,7 +77,7 @@ class DmaEngine : public Engine {
   std::uint64_t packets_to_host_ = 0;
   std::uint64_t reads_served_ = 0;
   std::uint64_t writes_served_ = 0;
-  std::uint64_t next_ring_addr_ = 0x4000000;  // synthetic RX ring base
+  std::uint64_t next_ring_addr_ = kRxRingBase;
   Histogram delivery_hist_;
   std::unordered_map<std::uint16_t, Histogram> per_tenant_hist_;
 };

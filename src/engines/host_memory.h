@@ -18,6 +18,10 @@ namespace panic::engines {
 
 class HostMemory {
  public:
+  /// allocate() hands out addresses from here upward; fixed regions (the
+  /// DMA engine's RX ring) live below it.
+  static constexpr std::uint64_t kAllocBase = 0x100000;  // 1 MiB
+
   void write(std::uint64_t addr, std::span<const std::uint8_t> data);
   std::vector<std::uint8_t> read(std::uint64_t addr, std::uint32_t len) const;
   /// Reads into an existing buffer (resized to `len`), reusing its
@@ -29,6 +33,8 @@ class HostMemory {
   std::uint64_t allocate(std::uint32_t len);
 
   std::size_t bytes_written() const { return bytes_written_; }
+  /// 4 KiB pages backing written bytes (the model's host footprint).
+  std::size_t pages() const { return store_.size(); }
 
  private:
   static constexpr std::size_t kPageShift = 12;
@@ -45,7 +51,7 @@ class HostMemory {
   static std::uint8_t deterministic_byte(std::uint64_t addr);
 
   std::unordered_map<std::uint64_t, std::unique_ptr<Page>> store_;  // by page
-  std::uint64_t next_alloc_ = 0x100000;  // start at 1 MiB
+  std::uint64_t next_alloc_ = kAllocBase;
   std::size_t bytes_written_ = 0;
 };
 

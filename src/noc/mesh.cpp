@@ -56,12 +56,25 @@ Mesh::Mesh(const MeshConfig& config, Simulator& sim) : config_(config) {
   sim.telemetry().metrics().expose_gauge("noc.flits_routed", [this] {
     return static_cast<double>(total_flits_routed());
   });
+  sim.telemetry().metrics().expose_counter("noc.credit_flushes",
+                                           &credit_flushes_);
+
+  credit_logs_.resize(1);
+  for (auto& r : routers_) r->set_credit_log(&credit_logs_[0]);
 
   // Registered credit-based flow control: credits freed by pops this cycle
   // become visible to upstream routers at the next cycle, in every kernel
-  // mode (see noc/router.h).
+  // mode (see noc/router.h).  The hook runs on the coordinator after every
+  // tick of the cycle (and after the parallel barrier), and folds only the
+  // outputs a pop logged — a cycle without pops costs nothing here,
+  // however large the mesh.  Each logged output is folded once and the
+  // folds are independent, so the log order is immaterial.
   sim.add_end_of_cycle_hook([this](Cycle) {
-    for (auto& r : routers_) r->flush_credits();
+    for (auto& log : credit_logs_) {
+      for (const CreditReturn& c : log) c.router->flush_credits(c.out);
+      credit_flushes_ += log.size();
+      log.clear();
+    }
   });
 }
 
@@ -71,12 +84,16 @@ void Mesh::assign_shards(const std::vector<int>& tile_to_shard,
   assert(tile_to_shard.size() == static_cast<std::size_t>(tiles()));
   tile_shards_ = tile_to_shard;
   boundary_staged_.resize(static_cast<std::size_t>(sim.num_shards()));
+  credit_logs_.resize(static_cast<std::size_t>(sim.num_shards()) + 1);
 
   const int k = config_.k;
   for (int t = 0; t < tiles(); ++t) {
     const int shard = tile_shards_[static_cast<std::size_t>(t)];
     sim.set_shard(nis_[static_cast<std::size_t>(t)].get(), shard);
     sim.set_shard(routers_[static_cast<std::size_t>(t)].get(), shard);
+    // Every router is re-pointed: the resize above may have moved entry 0.
+    routers_[static_cast<std::size_t>(t)]->set_credit_log(
+        &credit_logs_[static_cast<std::size_t>(shard + 1)]);
     if (shard < 0) continue;
     // Mark outputs whose neighbor lives on another shard as boundaries;
     // the staging vector belongs to the *source* shard (single writer).

@@ -47,15 +47,21 @@ class Mesh {
   /// Sum of flits routed across all routers (for utilization accounting).
   std::uint64_t total_flits_routed() const;
 
+  /// Router outputs folded by the end-of-cycle credit flush so far
+  /// (`noc.credit_flushes`).  One per output per cycle in which a pop
+  /// staged a credit return on it, so it depends only on the pops and is
+  /// identical under every kernel.
+  std::uint64_t credit_flushes() const { return credit_flushes_; }
+
   /// Partitions the mesh for SimMode::kParallelShards: assigns each tile's
   /// router and NI to `tile_to_shard[tile]` (values in
   /// [0, sim.num_shards())), marks every router output that crosses a
   /// shard cut as a boundary (flits staged per source shard, delivered by
-  /// the coordinator at the cycle barrier), and registers the delivery
-  /// hook.  Call once, before the first step; a no-op outside parallel
-  /// mode.  Tiles left unassigned (-1) stay serial — but a serial tile
-  /// inside the mesh prefix would break the kernel's suffix rule, so
-  /// assign every tile.
+  /// the coordinator at the cycle barrier), gives each router its shard's
+  /// credit log, and registers the delivery hook.  Call once, before the
+  /// first step; a no-op outside parallel mode.  Tiles left unassigned
+  /// (-1) stay serial — but a serial tile inside the mesh prefix would
+  /// break the kernel's suffix rule, so assign every tile.
   void assign_shards(const std::vector<int>& tile_to_shard, Simulator& sim);
 
   /// The shard tile `tile` was assigned to (-1 = serial / not sharded).
@@ -71,6 +77,12 @@ class Mesh {
   /// Boundary flits staged during the parallel phase, one vector per
   /// *source* shard so each is written by exactly one worker thread.
   std::vector<std::vector<BoundaryFlit>> boundary_staged_;
+  /// Credit logs: the outputs whose returns the end-of-cycle flush must
+  /// fold.  Entry 0 belongs to the serial context (every router until
+  /// assign_shards, unsharded ones after), entry s + 1 to shard s — one
+  /// writer each, the thread that ticks the popping routers.
+  std::vector<std::vector<CreditReturn>> credit_logs_;
+  std::uint64_t credit_flushes_ = 0;
 };
 
 }  // namespace panic::noc

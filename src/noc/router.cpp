@@ -1,5 +1,6 @@
 #include "noc/router.h"
 
+#include <bit>
 #include <cassert>
 
 #include "telemetry/telemetry.h"
@@ -52,18 +53,15 @@ void Router::connect(Direction dir, Router* neighbor) {
   }
 }
 
-void Router::flush_credits() {
-  for (int o = 0; o < 4; ++o) {
-    std::uint32_t r = returns_staged_[o];
-    if (r == 0) continue;
-    returns_staged_[o] = 0;
-    if (leak_debt_[o] != 0) {
-      const std::uint32_t take = r < leak_debt_[o] ? r : leak_debt_[o];
-      leak_debt_[o] -= take;
-      r -= take;
-    }
-    credits_[o] += r;
+void Router::flush_credits(int o) {
+  std::uint32_t r = returns_staged_[o];
+  returns_staged_[o] = 0;
+  if (leak_debt_[o] != 0) {
+    const std::uint32_t take = r < leak_debt_[o] ? r : leak_debt_[o];
+    leak_debt_[o] -= take;
+    r -= take;
   }
+  credits_[o] += r;
 }
 
 bool Router::can_accept(Direction from) const {
@@ -215,39 +213,40 @@ void Router::forward(Direction out, Flit flit, Cycle now) {
 }
 
 void Router::tick(Cycle now) {
-  // Fast path: with every input empty the full allocation loop below is a
-  // no-op (owned outputs have nothing ready, free outputs find no head
-  // flit, and no counter moves).  Off-path routers hit this every cycle
-  // under the dense kernel, so it pays to skip the 5x5 scan outright.
-  bool idle = true;
-  for (const auto& q : inputs_) {
-    if (!q.empty()) {
-      idle = false;
-      break;
-    }
+  // Inputs whose head flit is routable this cycle.  Within this tick an
+  // input's readiness only changes when it pops (upstream accepts land
+  // with ready >= now + 1), and one flit may leave per input per cycle, so
+  // a popping input just drops out of the mask.  With the mask empty the
+  // allocation loop is a no-op — no flit moves, no counter or round-robin
+  // pointer changes — which is what lets idle and not-yet-ready routers
+  // skip it outright, and lets the output loop stop once every ready
+  // input has left.
+  unsigned ready = 0;
+  for (int i = 0; i < kNumPorts; ++i) {
+    if (inputs_[i].ready(now)) ready |= 1u << i;
   }
-  if (idle) return;
 
-  // One flit may leave per output port per cycle; one flit may leave per
-  // input port per cycle.
-  std::array<bool, kNumPorts> input_used{};
-
-  for (int o = 0; o < kNumPorts; ++o) {
+  // One flit may leave per output port per cycle.
+  for (int o = 0; o < kNumPorts && ready != 0; ++o) {
     const auto out = static_cast<Direction>(o);
 
     int chosen = -1;
     if (output_owner_[o] >= 0) {
       // Wormhole: the output is locked to an input until the tail passes.
       const int i = output_owner_[o];
-      if (!input_used[i] && inputs_[i].ready(now)) chosen = i;
+      if ((ready >> i) & 1u) chosen = i;
     } else {
-      // Allocate: round-robin over inputs whose ready head flit is a head
-      // flit routed to this output.
-      for (int step = 0; step < kNumPorts; ++step) {
-        const int i = (rr_[o] + step) % kNumPorts;
-        if (input_used[i]) continue;
+      // Allocate: round-robin from rr_[o] over ready inputs whose head
+      // flit is a head flit routed to this output.  Bit s of `order` is
+      // input (rr_[o] + s) % kNumPorts.
+      const int start = rr_[o];
+      unsigned order =
+          ((ready >> start) | (ready << (kNumPorts - start))) &
+          ((1u << kNumPorts) - 1);
+      for (; order != 0; order &= order - 1) {
+        const int i = (start + std::countr_zero(order)) % kNumPorts;
         const FlitBurst* b = inputs_[i].peek(now);
-        if (b == nullptr || b->seq != 0) continue;  // need a head flit
+        if (b->seq != 0) continue;  // need a head flit
         if (!permitted(out, b->dst)) continue;
         chosen = i;
         rr_[o] = (i + 1) % kNumPorts;
@@ -262,14 +261,15 @@ void Router::tick(Cycle now) {
     }
 
     Flit flit = *inputs_[chosen].try_pop_flit(now);
-    input_used[chosen] = true;
+    ready &= ~(1u << chosen);
     output_owner_[o] = flit.is_tail() ? -1 : chosen;
     // Return the freed buffer slot to the upstream router as a credit,
     // visible after the end-of-cycle flush (kLocal is fed by the NI,
     // which uses the live can_accept() check instead).
     if (chosen != static_cast<int>(Direction::kLocal) &&
         neighbors_[chosen] != nullptr) {
-      neighbors_[chosen]->stage_credit_return(kReverse[chosen]);
+      neighbors_[chosen]->stage_credit_return(kReverse[chosen],
+                                              *credit_log_);
     }
     if (flit.msg != nullptr) ++flit.msg->noc_hops;  // tail flit carries msg
     forward(out, std::move(flit), now);

@@ -12,7 +12,8 @@
 // router keeps a per-output credit count initialized to the downstream
 // input buffer's depth, spends one credit per forwarded flit, and credits
 // freed by downstream pops are staged and folded back at the end of the
-// cycle (Mesh registers the flush with the simulator).  A freed slot is
+// cycle (Mesh registers the flush with the simulator; it visits only the
+// outputs a pop staged a return on this cycle).  A freed slot is
 // therefore usable by the upstream one cycle later.  This makes
 // backpressure independent of intra-cycle tick order — each mesh link has
 // exactly one producer, so registered credits are also what lets the
@@ -63,6 +64,15 @@ struct BoundaryFlit {
   Flit flit;
 };
 
+/// A router output with credit returns staged this cycle — one entry in a
+/// Mesh credit log.  Assumption: an entry exists only if a pop staged a
+/// return on that output since the last flush, and at most once per
+/// output (the return that takes the staged count from 0 to 1 logs it).
+struct CreditReturn {
+  Router* router;
+  std::uint8_t out;  ///< mesh output (Direction value, < 4)
+};
+
 class Router : public Component {
  public:
   /// `x`,`y` — coordinates in a `k`×`k` mesh; `buffer_flits` — depth of
@@ -78,11 +88,17 @@ class Router : public Component {
   /// count to the neighbor's input-buffer depth.
   void connect(Direction dir, Router* neighbor);
 
-  /// Folds credit returns staged by downstream pops this cycle back into
-  /// the per-output credit counts (leak-faulted outputs repay their debt
-  /// first).  Mesh runs this for every router at the end of each executed
-  /// cycle, on the coordinator, in every kernel mode.
-  void flush_credits();
+  /// Folds the credit returns staged on mesh output `out` back into its
+  /// credit count (a leak-faulted output repays its debt first).  Mesh
+  /// runs this at the end of each executed cycle, on the coordinator, in
+  /// every kernel mode — for the outputs in its credit logs only.
+  /// Idempotent: a second call finds nothing staged.
+  void flush_credits(int out);
+
+  /// Where this router logs the upstream outputs its pops stage credit
+  /// returns on: the credit log of the context that ticks it (Mesh hands
+  /// out one per shard, so each log has a single writer).
+  void set_credit_log(std::vector<CreditReturn>* log) { credit_log_ = log; }
 
   /// Marks output `out` as a shard boundary: forwarded flits are appended
   /// to `stage` (owned by this router's shard) instead of being delivered
@@ -178,10 +194,15 @@ class Router : public Component {
 
   /// Called by the downstream router when it pops a flit we forwarded:
   /// stages one credit back for output `out`, visible after the next
-  /// flush_credits().  Single writer per element — only the neighbor on
-  /// `out` calls this, so it is race-free across shards.
-  void stage_credit_return(Direction out) {
-    ++returns_staged_[static_cast<int>(out)];
+  /// flush_credits(), and logs the output in the popping router's
+  /// `log` when nothing was staged on it yet.  Single writer per element —
+  /// only the neighbor on `out` calls this, so it is race-free across
+  /// shards.
+  void stage_credit_return(Direction out, std::vector<CreditReturn>& log) {
+    const int o = static_cast<int>(out);
+    if (returns_staged_[o]++ == 0) {
+      log.push_back(CreditReturn{this, static_cast<std::uint8_t>(o)});
+    }
   }
 
   int x_;
@@ -195,12 +216,14 @@ class Router : public Component {
   std::array<Router*, kNumPorts> neighbors_{};
   FlitBurstQueue eject_;
   Component* local_sink_ = nullptr;
+  std::vector<CreditReturn>* credit_log_ = nullptr;
 
   /// Registered flow-control state for the four mesh outputs (kLocal uses
   /// live eject occupancy).  `credits_` is read/written only by this
   /// router's shard plus the coordinator's flush; `returns_staged_[o]` is
-  /// written only by the downstream neighbor of output o and consumed by
-  /// the flush; `leak_debt_[o]` swallows staged returns after a
+  /// written only by the downstream neighbor of output o (which logs o in
+  /// its credit log on the 0 -> 1 step) and consumed by the flush;
+  /// `leak_debt_[o]` swallows staged returns after a
   /// fault_leak_credits on the downstream input, making the leak
   /// permanent.
   std::array<std::uint32_t, 4> credits_{};

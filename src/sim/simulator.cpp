@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -56,8 +57,8 @@ Simulator::Simulator(Frequency clock, SimMode mode, int threads)
   // shard's thread, or the coordinator for serial components) so the hot
   // path stays a plain increment — see telemetry/metrics.h.
   {
-    std::vector<std::uint64_t*> ticks{&component_ticks_};
-    std::vector<std::uint64_t*> wakes{&wakeups_};
+    std::vector<std::uint64_t*> ticks{&serial_.ticks};
+    std::vector<std::uint64_t*> wakes{&serial_.wakeups};
     for (auto& ss : shards_) {
       ticks.push_back(&ss->ticks);
       wakes.push_back(&ss->wakeups);
@@ -123,7 +124,9 @@ void Simulator::add(Component* c) {
   components_.push_back(c);
   Slot s;
   s.c = c;
+  s.bit = c->slot_;
   slots_.push_back(s);
+  serial_.active_bits.resize((slots_.size() + 63) / 64);
   if (mode_ != SimMode::kStrictTick) activate(c->slot_);
 }
 
@@ -184,21 +187,11 @@ void Simulator::wake_slot(std::uint32_t slot, Cycle at) {
   if (phase_ == Phase::kTick && slot <= cur && eff <= now_) {
     eff = now_ + 1;
   }
+  // A shard worker only reaches here for its own slots (checked above),
+  // so the slot's context is the calling thread's.
+  TickContext& ctx = context_of(s);
   if (eff <= now_) {
-    if (!s.active) {
-      s.active = true;
-      s.c->awake_ = true;
-      if (ts != nullptr) {
-        ++ts->active_count;
-        ++ts->wakeups;
-      } else if (ShardState* os = owner_shard(s)) {
-        ++os->active_count;
-        ++os->wakeups;
-      } else {
-        ++active_count_;
-        ++wakeups_;
-      }
-    }
+    if (!s.active) mark_active(ctx, s);
     return;
   }
   if (s.active) {
@@ -208,22 +201,27 @@ void Simulator::wake_slot(std::uint32_t slot, Cycle at) {
     if (eff < s.pending_request) s.pending_request = eff;
     return;
   }
-  if (ts != nullptr) {
-    push_wake(ts->wake_queue, slot, eff);
-  } else if (ShardState* os = owner_shard(s)) {
-    push_wake(os->wake_queue, slot, eff);
-  } else {
-    push_wake(wake_queue_, slot, eff);
-  }
+  push_wake(ctx.wake_queue, slot, eff);
+}
+
+void Simulator::mark_active(TickContext& ctx, Slot& s) {
+  s.active = true;
+  s.c->awake_ = true;
+  ctx.active_bits[s.bit >> 6] |= std::uint64_t{1} << (s.bit & 63);
+  ++ctx.active_count;
+  ++ctx.wakeups;
+}
+
+void Simulator::mark_parked(TickContext& ctx, Slot& s) {
+  s.active = false;
+  s.c->awake_ = false;
+  ctx.active_bits[s.bit >> 6] &= ~(std::uint64_t{1} << (s.bit & 63));
+  --ctx.active_count;
 }
 
 void Simulator::activate(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  if (s.active) return;
-  s.active = true;
-  s.c->awake_ = true;
-  ++active_count_;
-  ++wakeups_;
+  if (!s.active) mark_active(context_of(s), s);
 }
 
 void Simulator::push_wake(WakeQueue& q, std::uint32_t slot, Cycle cycle) {
@@ -233,24 +231,18 @@ void Simulator::push_wake(WakeQueue& q, std::uint32_t slot, Cycle cycle) {
   q.push(Wake{cycle, slot}, now_);
 }
 
-void Simulator::drain_due_wakes(WakeQueue& q, std::size_t& active_count,
-                                std::uint64_t& wakeups) {
-  q.drain_due(now_, [&](const Wake& w) {
+void Simulator::drain_due_wakes(TickContext& ctx) {
+  ctx.wake_queue.drain_due(now_, [&](const Wake& w) {
     Slot& s = slots_[w.slot];
     if (s.pending_wake == w.cycle) s.pending_wake = Component::kNeverWake;
-    if (!s.active) {
-      s.active = true;
-      s.c->awake_ = true;
-      ++active_count;
-      ++wakeups;
-    }
+    if (!s.active) mark_active(ctx, s);
   });
 }
 
 Cycle Simulator::next_scheduled_cycle() const {
   Cycle t = Component::kNeverWake;
   if (!events_.empty() && events_.top().cycle < t) t = events_.top().cycle;
-  if (const Cycle w = wake_queue_.next_cycle(); w < t) t = w;
+  if (const Cycle w = serial_.wake_queue.next_cycle(); w < t) t = w;
   for (const auto& ss : shards_) {
     if (const Cycle w = ss->wake_queue.next_cycle(); w < t) t = w;
   }
@@ -267,19 +259,19 @@ void Simulator::fast_forward_to(Cycle limit) {
 }
 
 std::uint64_t Simulator::component_ticks() const {
-  std::uint64_t total = component_ticks_;
+  std::uint64_t total = serial_.ticks;
   for (const auto& ss : shards_) total += ss->ticks;
   return total;
 }
 
 std::uint64_t Simulator::wakeups() const {
-  std::uint64_t total = wakeups_;
+  std::uint64_t total = serial_.wakeups;
   for (const auto& ss : shards_) total += ss->wakeups;
   return total;
 }
 
 std::size_t Simulator::active_components() const {
-  std::size_t total = active_count_;
+  std::size_t total = serial_.active_count;
   for (const auto& ss : shards_) total += ss->active_count;
   return total;
 }
@@ -300,8 +292,7 @@ void Simulator::run_end_of_cycle() {
   for (auto& h : end_of_cycle_hooks_) h(now_);
 }
 
-void Simulator::finish_tick(std::uint32_t slot, Cycle now,
-                            std::size_t& active_count, WakeQueue& wq) {
+void Simulator::finish_tick(std::uint32_t slot, Cycle now, TickContext& ctx) {
   Slot& s = slots_[slot];
   // Hot-slot poll skip: a component that has ticked kHotStreak+ cycles in
   // a row (a saturated router or engine) is polled for sleep only every
@@ -325,11 +316,34 @@ void Simulator::finish_tick(std::uint32_t slot, Cycle now,
   // re-arm 2–15 cycles out; idle-gap sleeps are far longer than the
   // window and still park (so fast-forward is only delayed, never lost).
   if (nw > now + kLingerWindow) {
-    s.active = false;
-    s.c->awake_ = false;
+    mark_parked(ctx, s);
     s.streak = 0;
-    --active_count;
-    if (nw != Component::kNeverWake) push_wake(wq, slot, nw);
+    if (nw != Component::kNeverWake) push_wake(ctx.wake_queue, slot, nw);
+  }
+}
+
+template <typename SlotOf>
+void Simulator::tick_active(TickContext& ctx, std::size_t first_word,
+                            std::uint32_t& cursor, SlotOf slot_of) {
+  const Cycle now = now_;
+  // Word index, not iterator: a tick may register a component (growing
+  // the serial bitmap), which then ticks this cycle as in dense mode.
+  for (std::size_t w = first_word; w < ctx.active_bits.size(); ++w) {
+    std::uint64_t bits = ctx.active_bits[w];
+    while (bits != 0) {
+      const int b = std::countr_zero(bits);
+      const std::uint32_t slot =
+          slot_of(static_cast<std::uint32_t>(w * 64 + b));
+      cursor = slot;
+      slots_[slot].c->tick(now);
+      ++ctx.ticks;
+      finish_tick(slot, now, ctx);
+      // Re-read the word above the bit just ticked: slots the tick woke
+      // later in this word tick this cycle (as in dense mode); earlier
+      // ones were deferred to the next cycle by wake_slot, and later
+      // words are read fresh when the scan reaches them.
+      bits = ctx.active_bits[w] & ((~std::uint64_t{0} << b) << 1);
+    }
   }
 }
 
@@ -339,9 +353,7 @@ void Simulator::step() {
     return;
   }
 
-  if (mode_ == SimMode::kEventDriven) {
-    drain_due_wakes(wake_queue_, active_count_, wakeups_);
-  }
+  if (mode_ == SimMode::kEventDriven) drain_due_wakes(serial_);
 
   run_events_phase();
 
@@ -349,20 +361,13 @@ void Simulator::step() {
   if (mode_ == SimMode::kStrictTick) {
     for (Component* c : components_) {
       c->tick(now_);
-      ++component_ticks_;
+      ++serial_.ticks;
     }
   } else {
-    // Tick active components in slot (registration) order by scanning the
-    // per-slot flags.  wake() may activate later slots mid-scan (they are
-    // visited this cycle, as in dense mode) and defers earlier ones to the
-    // next cycle.
-    for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      if (!slots_[slot].active) continue;
-      current_slot_ = slot;
-      slots_[slot].c->tick(now_);
-      ++component_ticks_;
-      finish_tick(slot, now_, active_count_, wake_queue_);
-    }
+    // Tick active components in slot (registration) order; in the serial
+    // context a slot's bit is its slot index.
+    tick_active(serial_, 0, current_slot_,
+                [](std::uint32_t bit) { return bit; });
   }
 
   run_end_of_cycle();
@@ -391,12 +396,17 @@ void Simulator::seal_shards() {
         std::abort();
       }
       ShardState& ss = *shards_[s.shard];
+      const bool was_active = s.active;
+      if (was_active) mark_parked(serial_, s);
+      s.bit = static_cast<std::uint32_t>(ss.slots.size());
       ss.slots.push_back(i);
+      ss.active_bits.resize((ss.slots.size() + 63) / 64);
       any_sharded_ = true;
-      if (s.active) {
-        // Re-home the activation bookkeeping done before the seal.
-        --active_count_;
-        ++ss.active_count;
+      if (was_active) {
+        // Re-home the activation done before the seal; its wakeup stays
+        // counted in the serial cell.
+        mark_active(ss, s);
+        --ss.wakeups;
       }
     } else if (!seen_serial) {
       seen_serial = true;
@@ -407,10 +417,9 @@ void Simulator::seal_shards() {
   // Wake-ups queued during construction/wiring all landed in the serial
   // heap; re-home them to their owners' heaps (entries move verbatim —
   // pending_wake dedup state is per-slot and unaffected).
-  if (any_sharded_ && !wake_queue_.empty()) {
-    for (const Wake& w : wake_queue_.drain_all()) {
-      ShardState* os = owner_shard(slots_[w.slot]);
-      (os != nullptr ? os->wake_queue : wake_queue_).push(w, now_);
+  if (any_sharded_ && !serial_.wake_queue.empty()) {
+    for (const Wake& w : serial_.wake_queue.drain_all()) {
+      context_of(slots_[w.slot]).wake_queue.push(w, now_);
     }
   }
 
@@ -423,14 +432,8 @@ void Simulator::seal_shards() {
 }
 
 void Simulator::run_shard_phase(ShardState& ss) {
-  const Cycle now = now_;
-  for (std::uint32_t slot : ss.slots) {
-    if (!slots_[slot].active) continue;
-    ss.current_slot = slot;
-    slots_[slot].c->tick(now);
-    ++ss.ticks;
-    finish_tick(slot, now, ss.active_count, ss.wake_queue);
-  }
+  tick_active(ss, 0, ss.current_slot,
+              [&ss](std::uint32_t bit) { return ss.slots[bit]; });
 }
 
 void Simulator::worker_main(int shard_index) {
@@ -492,10 +495,8 @@ void Simulator::merge_staged_events() {
 void Simulator::step_parallel() {
   if (!sealed_) seal_shards();
 
-  drain_due_wakes(wake_queue_, active_count_, wakeups_);
-  for (auto& ss : shards_) {
-    drain_due_wakes(ss->wake_queue, ss->active_count, ss->wakeups);
-  }
+  drain_due_wakes(serial_);
+  for (auto& ss : shards_) drain_due_wakes(*ss);
 
   run_events_phase();
 
@@ -535,14 +536,10 @@ void Simulator::step_parallel() {
   }
 
   // Serial suffix (watchdogs, workload sources) in registration order.
-  for (std::uint32_t slot = first_serial_slot_;
-       slot < static_cast<std::uint32_t>(slots_.size()); ++slot) {
-    if (!slots_[slot].active) continue;
-    current_slot_ = slot;
-    slots_[slot].c->tick(now_);
-    ++component_ticks_;
-    finish_tick(slot, now_, active_count_, wake_queue_);
-  }
+  // Sharded slots never set a serial bit once sealed, so the scan can
+  // start at the suffix's first word.
+  tick_active(serial_, first_serial_slot_ / 64, current_slot_,
+              [](std::uint32_t bit) { return bit; });
 
   run_end_of_cycle();
   ++now_;

@@ -191,6 +191,9 @@ class Simulator {
     bool active = false;
     /// Owning shard (-1 = serial); only used in kParallelShards mode.
     std::int16_t shard = -1;
+    /// Index in the owning context's active_bits: the slot index in the
+    /// serial context, the position in ShardState::slots once sealed.
+    std::uint32_t bit = 0;
     /// Earliest future wake-up already queued for this slot (dedups heap
     /// pushes; stale heap entries are ignored on pop).
     Cycle pending_wake = Component::kNeverWake;
@@ -312,17 +315,29 @@ class Simulator {
     std::function<void()> fn;
   };
 
+  /// The tick state one thread owns: the serial context (every slot
+  /// before the shard map seals, the serial suffix after) and one per
+  /// shard.  Only the owning thread touches it during a tick phase.
+  struct TickContext {
+    WakeQueue wake_queue;
+    /// Active set as a bitmap over this context's slots (bit i == the
+    /// context's i-th slot, see Slot::bit).  Invariant: a bit is set iff
+    /// that slot's Slot::active is true — every flip goes through
+    /// mark_active / mark_parked.  The tick loop visits set bits only, so
+    /// a cycle costs O(active + slots/64), not O(slots).
+    std::vector<std::uint64_t> active_bits;
+    std::size_t active_count = 0;
+    std::uint64_t ticks = 0;    ///< kernel.component_ticks cell
+    std::uint64_t wakeups = 0;  ///< kernel.wakeups cell
+  };
+
   /// Per-shard kernel state.  Heap-allocated once in the constructor so
   /// the telemetry cells have stable addresses; only the owning worker
   /// touches the hot fields during the parallel phase.
-  struct ShardState {
+  struct ShardState : TickContext {
     int index = 0;
     std::vector<std::uint32_t> slots;  ///< this shard's slots, ascending
-    WakeQueue wake_queue;
-    std::size_t active_count = 0;
     std::uint32_t current_slot = 0;  ///< valid during the parallel phase
-    std::uint64_t ticks = 0;         ///< per-shard kernel.component_ticks cell
-    std::uint64_t wakeups = 0;       ///< per-shard kernel.wakeups cell
     std::vector<StagedEvent> staged_events;
     std::uint64_t staged_seq = 0;
   };
@@ -337,16 +352,22 @@ class Simulator {
   /// next_wake poll runs only every kHotStreak-th tick (power of two).
   static constexpr std::uint32_t kHotStreak = 16;
 
-  /// The shard owning `s`'s bookkeeping once sealed (nullptr = serial).
-  ShardState* owner_shard(const Slot& s) {
-    return (sealed_ && s.shard >= 0) ? shards_[s.shard].get() : nullptr;
+  /// The context owning `s`'s bookkeeping: its shard once sealed, else
+  /// the serial context.
+  TickContext& context_of(const Slot& s) {
+    if (sealed_ && s.shard >= 0) return *shards_[s.shard];
+    return serial_;
   }
+
+  /// The only places Slot::active flips; they keep the bitmap, the
+  /// active count and Component::awake_ in step.
+  static void mark_active(TickContext& ctx, Slot& s);
+  static void mark_parked(TickContext& ctx, Slot& s);
 
   void wake_slot(std::uint32_t slot, Cycle at);
   void activate(std::uint32_t slot);
   void push_wake(WakeQueue& q, std::uint32_t slot, Cycle cycle);
-  void drain_due_wakes(WakeQueue& q, std::size_t& active_count,
-                       std::uint64_t& wakeups);
+  void drain_due_wakes(TickContext& ctx);
   /// Earliest cycle with pending work (event or wake-up); kNeverWake if none.
   Cycle next_scheduled_cycle() const;
   bool can_fast_forward() const {
@@ -359,8 +380,14 @@ class Simulator {
   void run_end_of_cycle();
   /// Post-tick sleep decision shared by all event-driven tick loops: folds
   /// coalesced wake requests into the component's own next_wake answer.
-  void finish_tick(std::uint32_t slot, Cycle now, std::size_t& active_count,
-                   WakeQueue& wq);
+  void finish_tick(std::uint32_t slot, Cycle now, TickContext& ctx);
+  /// The event-driven tick loop over one context: ticks its active slots
+  /// in ascending order, starting at bitmap word `first_word`.
+  /// `slot_of` maps a bit index to its slot; `cursor` tracks the slot
+  /// ticking (the same-cycle wake rule reads it).
+  template <typename SlotOf>
+  void tick_active(TickContext& ctx, std::size_t first_word,
+                   std::uint32_t& cursor, SlotOf slot_of);
 
   // --- Parallel-mode machinery. ---
   void seal_shards();
@@ -376,18 +403,14 @@ class Simulator {
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
-  std::uint64_t component_ticks_ = 0;  ///< serial contexts' cell
-  std::uint64_t wakeups_ = 0;          ///< serial contexts' cell
   std::uint64_t fast_forwarded_ = 0;
 
   std::vector<Component*> components_;  // registration order (slot order)
   std::vector<Slot> slots_;
-  /// Count of serial (unsharded) slots with active == true.  The active
-  /// set itself lives in the per-slot flags: the tick loop scans slots in
-  /// order (matching the strict-mode tick order) instead of maintaining a
-  /// node-based set, keeping wake/sleep churn allocation-free.
-  std::size_t active_count_ = 0;
-  WakeQueue wake_queue_;  ///< serial slots' wake heap
+  /// Serial slots' wake queue, active bitmap and counters.  The bitmap
+  /// keeps the strict-mode tick order (ascending slots) without a
+  /// node-based set, so wake/sleep churn stays allocation-free.
+  TickContext serial_;
   std::priority_queue<Event, std::vector<Event>, EventOrder> events_;
 
   std::vector<std::function<void(Cycle)>> post_parallel_hooks_;

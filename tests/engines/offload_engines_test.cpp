@@ -194,6 +194,51 @@ TEST(DmaEngineTest, ContentionJitterVariesServiceTime) {
             static_cast<double>(dcfg.base_latency));  // extra cost visible
 }
 
+TEST(DmaEngineTest, RxRingWrapsSoHostPagesStayBounded) {
+  // Every delivered packet is written into the host RX ring.  The ring
+  // wraps inside a fixed region, so the pages backing it stop growing once
+  // the ring has been filled — however long the run.
+  MiniMesh m;
+  const EngineId src = m.tile(0, 0);
+  const EngineId dma_tile = m.tile(1, 1);
+  const EngineId pcie_tile = m.tile(2, 2);
+
+  HostMemory host;
+  EngineConfig cfg;
+  DmaConfig dcfg;
+  dcfg.base_latency = 1;
+  DmaEngine dma("dma", &m.mesh.ni(dma_tile), cfg, dcfg, &host);
+  dma.lookup_table().set_kind_route(MessageKind::kInterrupt, pcie_tile);
+  m.sim.add(&dma);
+
+  const auto frame = frames::min_udp(kSrc, kDst);
+  auto deliver = [&](std::uint64_t total) {
+    m.sim.run_until(
+        [&] {
+          while (m.mesh.ni(pcie_tile).try_receive(m.sim.now()) != nullptr) {
+          }
+          if (m.mesh.ni(src).can_inject()) {
+            auto msg = frame_message(frame);
+            msg->chain.push_hop(dma_tile);
+            m.send(std::move(msg), src, dma_tile);
+          }
+          return dma.packets_to_host() >= total;
+        },
+        100'000'000);
+    return dma.packets_to_host();
+  };
+
+  constexpr std::size_t kRingPages = DmaEngine::kRxRingBytes / 4096;
+  ASSERT_GE(deliver(10'000), 10'000u);
+  ASSERT_GT(host.bytes_written(), DmaEngine::kRxRingBytes);  // wrapped
+  const std::size_t filled = host.pages();
+  EXPECT_LE(filled, kRingPages);
+
+  ASSERT_GE(deliver(100'000), 100'000u);
+  EXPECT_EQ(host.pages(), filled);
+  EXPECT_GE(host.bytes_written(), 100'000u * frame.size());
+}
+
 TEST(ChecksumStatic, FillAndVerify) {
   auto frame = frames::kvs_get(kSrc, kDst, 1, 2, 3);
   ASSERT_TRUE(ChecksumEngine::fill_l4_checksum(frame));

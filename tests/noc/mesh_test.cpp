@@ -187,5 +187,94 @@ TEST(Mesh, ThroughputScalesWithMeshSize) {
   EXPECT_GT(large, small * 3 / 2);
 }
 
+/// Ticks every cycle, so the kernel executes (never fast-forwards) every
+/// cycle and runs the end-of-cycle hooks each time.
+class Clock : public Component {
+ public:
+  Clock() : Component("clock") {}
+  void tick(Cycle) override {}
+};
+
+// An idle mesh costs nothing per cycle: its routers and NIs park after
+// their first tick, and the credit flush has nothing logged to fold —
+// both when the kernel fast-forwards and when something else keeps every
+// cycle executing.
+TEST(Mesh, IdleMeshDoesNoPerCycleWork) {
+  for (const bool clocked : {false, true}) {
+    Simulator sim(Frequency::megahertz(500), SimMode::kEventDriven);
+    MeshConfig cfg;
+    cfg.k = 16;
+    Mesh mesh(cfg, sim);
+    Clock clock;
+    if (clocked) sim.add(&clock);
+    sim.run(10);  // settle: every router and NI ticks once, then parks
+
+    constexpr Cycles kCycles = 100000;
+    const std::uint64_t ticks0 = sim.component_ticks();
+    const std::uint64_t ff0 = sim.fast_forwarded_cycles();
+    sim.run(kCycles);
+    const std::uint64_t ticks = sim.component_ticks() - ticks0;
+    EXPECT_EQ(ticks, clocked ? kCycles : 0u) << "clocked=" << clocked;
+    // run() always executes its first cycle before fast-forwarding.
+    EXPECT_EQ(sim.fast_forwarded_cycles() - ff0,
+              clocked ? 0u : kCycles - 1)
+        << "clocked=" << clocked;
+    EXPECT_EQ(mesh.credit_flushes(), 0u) << "clocked=" << clocked;
+    EXPECT_EQ(sim.snapshot().counter("noc.credit_flushes"), 0u);
+  }
+}
+
+// A credit leak larger than what the upstream holds becomes debt.  The
+// debt is repaid only out of staged returns — the flush folds an output
+// only after a downstream pop logged it — and every flit popped off a
+// mesh input is folded exactly once.
+TEST(Mesh, LeakDebtIsRepaidOnlyFromStagedReturns) {
+  Simulator sim(Frequency::megahertz(500), SimMode::kEventDriven);
+  MeshConfig cfg;
+  cfg.k = 3;
+  cfg.channel_bits = 64;
+  Mesh mesh(cfg, sim);
+  const EngineId src = mesh.tile_id(0, 0);
+  const EngineId mid = mesh.tile_id(1, 0);
+  const EngineId dst = mesh.tile_id(2, 0);
+  Router& up = mesh.router(src);
+  const std::uint32_t depth = up.credits(Direction::kEast);
+  ASSERT_EQ(depth, cfg.buffer_flits);
+
+  // mid's long message locks mid's East output first, so src's flits back
+  // up in mid's West input until src holds no credits toward it.
+  mesh.ni(mid).inject(packet_of_size(1024), dst, sim.now());
+  mesh.ni(src).inject(packet_of_size(256), dst, sim.now());
+  for (int i = 0; i < 1000 && up.credits(Direction::kEast) != 0; ++i) {
+    sim.step();
+  }
+  ASSERT_EQ(up.credits(Direction::kEast), 0u);
+  constexpr std::uint32_t kLeak = 3;
+  mesh.router(mid).fault_leak_credits(static_cast<int>(Direction::kWest),
+                                      kLeak);
+
+  // Blocked: no pops, so nothing is staged and the debt stays put.
+  const std::uint64_t flushes0 = mesh.credit_flushes();
+  sim.run(20);
+  EXPECT_EQ(up.credits(Direction::kEast), 0u);
+
+  int received = 0;
+  sim.run_until(
+      [&] {
+        while (mesh.ni(dst).try_receive(sim.now()) != nullptr) ++received;
+        return received == 2;
+      },
+      10000);
+  ASSERT_EQ(received, 2);
+  sim.run(100);  // drain the last returns
+  // The first kLeak returns went to the debt: the link ends kLeak short.
+  EXPECT_EQ(up.credits(Direction::kEast), depth - kLeak);
+  EXPECT_GT(mesh.credit_flushes(), flushes0);
+  // One fold per flit popped off a mesh input: every routed flit except
+  // the ones the NIs injected into local inputs.
+  EXPECT_EQ(mesh.credit_flushes(),
+            mesh.total_flits_routed() - mesh.ni(src).flits_sent() -
+                mesh.ni(mid).flits_sent());
+}
 }  // namespace
 }  // namespace panic::noc

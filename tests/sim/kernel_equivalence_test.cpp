@@ -6,10 +6,12 @@
 // splits the mesh across shards.  The same holds under an active FaultPlan.
 // Plus targeted tests for the wake protocol itself: wake-on-enqueue,
 // sleep-with-deadline, empty-active-set fast-forward, late-event
-// determinism, and the slot-ordering rule.
+// determinism, the slot-ordering rule, and mid-scan wakes that cross the
+// 64-slot words of the active-slot bitmap.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "core/panic_nic.h"
@@ -495,6 +497,117 @@ TEST(KernelWake, SameCycleWakeRespectsTickOrder) {
     ASSERT_EQ(sink.consumed.size(), 1u);
     EXPECT_EQ(sink.consumed[0], 5u);
   }
+}
+
+// --- Mid-scan wakes across 64-slot words of the active-slot bitmap. ---
+
+/// Acts on its own timers and on work pushed into it; every action logs
+/// the cycle and pushes one work item into each `fwd` target.  Ticks
+/// without an action are no-ops, so the log is the same in every kernel.
+class Relay : public Component {
+ public:
+  Relay() : Component("relay") {}
+  std::vector<Cycle> timers;     ///< ascending self-action cycles
+  Cycle busy_until = 0;          ///< acts every cycle before this
+  std::vector<Relay*> fwd;
+  std::vector<Cycle> log;
+
+  void push(Cycle now) {
+    ++inbox_;
+    request_wake(now);
+  }
+  void tick(Cycle now) override {
+    const bool timer = next_timer_ < timers.size() &&
+                       timers[next_timer_] == now;
+    if (timer) ++next_timer_;
+    if (!timer && inbox_ == 0 && now >= busy_until) return;
+    if (!timer && inbox_ > 0) --inbox_;
+    log.push_back(now);
+    for (Relay* r : fwd) r->push(now);
+  }
+  Cycle next_wake(Cycle now) const override {
+    if (inbox_ > 0 || now + 1 < busy_until) return now + 1;
+    return next_timer_ < timers.size() ? timers[next_timer_] : kNeverWake;
+  }
+
+ private:
+  std::size_t next_timer_ = 0;
+  int inbox_ = 0;
+};
+
+constexpr int kRelays = 140;
+constexpr int kFirstSerialRelay = 135;
+
+/// Per-relay action logs of the word-crossing script under `mode`.
+std::vector<std::vector<Cycle>> run_relays(SimMode mode, int threads = 0) {
+  Simulator sim(Frequency::megahertz(500), mode, threads);
+  std::vector<std::unique_ptr<Relay>> r;
+  for (int i = 0; i < kRelays; ++i) {
+    r.push_back(std::make_unique<Relay>());
+    sim.add(r.back().get());
+  }
+  // Slot 10 wakes slot 70 (a later word: ticks the same cycle), 70 wakes
+  // 75 (same word, later bit) and 130, 130 wakes 3 (an earlier word:
+  // deferred), 3 wakes 20 (same word) and 100, which parks between its
+  // timers; 100 -> 64 and 64 -> 63 are backward (the latter across a
+  // word), 63 -> 127 -> 128 forward across two words.
+  r[10]->timers = {5, 300};
+  r[10]->fwd = {r[70].get()};
+  r[70]->fwd = {r[75].get(), r[130].get()};
+  r[130]->fwd = {r[3].get()};
+  r[3]->fwd = {r[20].get(), r[100].get()};
+  r[100]->timers = {40, 41, 200};
+  r[100]->fwd = {r[64].get()};
+  r[64]->fwd = {r[63].get()};
+  r[63]->fwd = {r[127].get()};
+  r[127]->fwd = {r[128].get()};
+  r[66]->busy_until = 50;
+  r[131]->busy_until = 20;
+  r[65]->timers = {10, 100};
+  // A serial-suffix relay waking a sharded slot (deferred to next cycle).
+  r[138]->timers = {250};
+  r[138]->fwd = {r[130].get()};
+
+  if (mode == SimMode::kParallelShards) {
+    // Every relay of the script shares shard 0, so its wakes stay
+    // in-shard; slots == 1 (mod 4) spread over the other shards, and the
+    // tail is serial.  Shard 0 holds ~100 slots, so its own bitmap spans
+    // two words with different positions than the slot indices.
+    for (int i = 0; i < kFirstSerialRelay; ++i) {
+      const int shard = (i % 4 == 1) ? 1 + (i / 4) % (threads - 1) : 0;
+      sim.set_shard(r[i].get(), shard);
+    }
+  }
+  sim.run(400);
+
+  std::vector<std::vector<Cycle>> logs;
+  for (const auto& relay : r) logs.push_back(relay->log);
+  return logs;
+}
+
+TEST(KernelEquivalence, MidScanWakesCrossBitmapWords) {
+  const auto dense = run_relays(SimMode::kStrictTick);
+  const auto event = run_relays(SimMode::kEventDriven);
+  EXPECT_EQ(dense, event);
+  for (const int threads : {2, 3}) {
+    EXPECT_EQ(dense, run_relays(SimMode::kParallelShards, threads))
+        << "threads=" << threads;
+  }
+
+  // The script did what it claims (event == dense, so check one).
+  EXPECT_EQ(event[10], (std::vector<Cycle>{5, 300}));
+  EXPECT_EQ(event[70], (std::vector<Cycle>{5, 300}));  // same cycle
+  EXPECT_EQ(event[130], (std::vector<Cycle>{5, 251, 300}));
+  EXPECT_EQ(event[3], (std::vector<Cycle>{6, 252, 301}));  // deferred
+  EXPECT_EQ(event[75], event[70]);
+  EXPECT_EQ(event[20], event[3]);
+  EXPECT_EQ(event[100],
+            (std::vector<Cycle>{6, 40, 41, 200, 252, 301}));
+  EXPECT_EQ(event[64], (std::vector<Cycle>{7, 41, 42, 201, 253, 302}));
+  EXPECT_EQ(event[63], (std::vector<Cycle>{8, 42, 43, 202, 254, 303}));
+  EXPECT_EQ(event[128], event[63]);
+  EXPECT_EQ(event[66].size(), 50u);
+  EXPECT_EQ(event[131].size(), 20u);
 }
 
 TEST(KernelWake, StrictTickModeNeverSleeps) {
