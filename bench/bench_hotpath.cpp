@@ -15,8 +15,9 @@
 // contract), plus an event run with the flow cache disabled.  The cache-on
 // and cache-off snapshots must be identical on every metric outside
 // rmt.cache.* — the cache is a host-time optimization, never a semantic
-// one.  The steady-state cache hit rate must be >= 90%; the bench exits
-// nonzero if any gate fails.  Results go to stdout and, machine-readable,
+// one.  The steady-state cache hit rate must be >= 90%, and the event
+// kernel's ticks and credit flushes per cycle must stay under per-scenario
+// ceilings; the bench exits nonzero if any gate fails.  Results go to stdout and, machine-readable,
 // to BENCH_hotpath.json.  `--smoke` shrinks the horizons for CI.
 #include <chrono>
 #include <cstdio>
@@ -35,6 +36,22 @@ namespace {
 
 // Steady-state flow-cache hit-rate floor (machine-independent gate).
 constexpr double kMinHitRate = 0.90;
+
+/// Work ceilings per measured cycle under the event kernel
+/// (machine-independent gates), ~10% above the counts measured at the
+/// full and --smoke horizons: saturated 4.26/4.14 ticks and 5.243/5.237
+/// credit flushes, steady 1.42/1.43 ticks and 2.669/2.671 flushes.  With
+/// each router and NI ticked as its own component the same legs made
+/// 12.6 and 6.9 ticks per cycle; a flush over every router would be 16.
+struct WorkCeiling {
+  const char* scenario;
+  double ticks_per_cycle;
+  double credit_flushes_per_cycle;
+};
+constexpr WorkCeiling kCeilings[] = {
+    {"hotpath_saturated", 4.7, 5.8},
+    {"hotpath_steady_state", 1.6, 2.95},
+};
 
 /// Metrics allowed to differ between cache-on and cache-off runs:
 /// kernel.* (tick/wakeup bookkeeping and process-wide pool gauges) and the
@@ -61,15 +78,12 @@ struct RunResult {
   // Flow-cache totals (zero when the cache is off).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::string shard_layout = "none";
   telemetry::MetricsSnapshot snapshot;
 };
 
-RunResult run_one(const scenario::Scenario& s, SimMode mode,
-                  int threads = 0) {
+RunResult run_one(const scenario::Scenario& s, SimMode mode) {
   scenario::RunOptions opts;
   opts.mode = mode;
-  opts.threads = threads;
   scenario::ScenarioRun run(s, opts);
 
   run.run_warmup();
@@ -107,7 +121,6 @@ RunResult run_one(const scenario::Scenario& s, SimMode mode,
       static_cast<std::uint64_t>(snap.sum("rmt.cache.", ".hits"));
   r.cache_misses =
       static_cast<std::uint64_t>(snap.sum("rmt.cache.", ".misses"));
-  r.shard_layout = run.nic().shard_layout();
   return r;
 }
 
@@ -120,7 +133,6 @@ int main(int argc, char** argv) {
   args.flag("smoke", "divide horizons by 10 for CI", &smoke);
   args.parse(argc, argv);
   const std::uint64_t seed = args.seed();
-  const int threads = args.threads();
   const unsigned hardware_threads = std::thread::hardware_concurrency();
 
   struct Leg {
@@ -147,8 +159,7 @@ int main(int argc, char** argv) {
   }
 
   std::string json = "{\n  \"bench\": \"hotpath\",\n  \"seed\": " +
-                     std::to_string(seed) + ",\n  \"threads\": " +
-                     std::to_string(threads) +
+                     std::to_string(seed) +
                      ",\n  \"hardware_threads\": " +
                      std::to_string(hardware_threads) + ",\n";
   {
@@ -213,15 +224,27 @@ int main(int argc, char** argv) {
       ok = false;
     }
 
-    // With --threads N (N > 1) the sharded kernel runs as a fourth leg and
-    // must agree with the other two.
-    RunResult par;
-    if (threads > 1) {
-      par = run_one(sc, SimMode::kParallelShards, threads);
-      if (par.delivered != event.delivered || par.flits != event.flits ||
-          par.generated != event.generated) {
-        std::fprintf(stderr, "FAIL %s: parallel/event stats diverge\n",
-                     name);
+    const WorkCeiling* ceiling = nullptr;
+    for (const WorkCeiling& c : kCeilings) {
+      if (sc.name == c.scenario) ceiling = &c;
+    }
+    if (ceiling == nullptr) {
+      std::fprintf(stderr, "FAIL %s: no work ceiling recorded\n", name);
+      ok = false;
+    } else {
+      const WorkCeiling& c = *ceiling;
+      if (event.ticks_per_cycle > c.ticks_per_cycle) {
+        std::fprintf(stderr,
+                     "FAIL %s: %.3f ticks/cycle above the %.3f ceiling\n",
+                     name, event.ticks_per_cycle, c.ticks_per_cycle);
+        ok = false;
+      }
+      if (event.credit_flushes_per_cycle > c.credit_flushes_per_cycle) {
+        std::fprintf(stderr,
+                     "FAIL %s: %.3f credit flushes/cycle above the %.3f "
+                     "ceiling\n",
+                     name, event.credit_flushes_per_cycle,
+                     c.credit_flushes_per_cycle);
         ok = false;
       }
     }
@@ -252,11 +275,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(event.cache_misses),
                 off.ns_per_cycle, cache_speedup,
                 cache_identical ? "yes" : "NO");
-    if (threads > 1) {
-      std::printf("\n  parallel(x%d): %8.1f ms  %7.2f ns/cycle  [%s]",
-                  threads, par.wall_ms, par.ns_per_cycle,
-                  par.shard_layout.c_str());
-    }
     std::printf("\n  alloc:  hit %llu + %llu  miss %llu + %llu"
                 "  bytes_reused %llu + %llu\n",
                 static_cast<unsigned long long>(dense.pool_hit),
@@ -316,17 +334,6 @@ int main(int argc, char** argv) {
                                         event.bytes_reused),
         static_cast<unsigned long long>(event.live_high_watermark));
     json += buf;
-    if (threads > 1) {
-      json.erase(json.size() - 1);  // reopen the scenario object
-      std::snprintf(buf, sizeof(buf),
-                    ", \"parallel\": {\"threads\": %d, \"wall_ms\": %.3f,"
-                    " \"ns_per_cycle\": %.3f, \"shard_layout\": \"%s\","
-                    " \"stats_match\": %s}}",
-                    threads, par.wall_ms, par.ns_per_cycle,
-                    par.shard_layout.c_str(),
-                    par.delivered == event.delivered ? "true" : "false");
-      json += buf;
-    }
     first = false;
   }
 

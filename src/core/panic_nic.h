@@ -85,12 +85,6 @@ class PanicNic {
   /// constructed).
   static PanicTopology plan_topology(const PanicConfig& config);
 
-  /// Human-readable shard layout for result JSON: "none" outside
-  /// kParallelShards, else "tile-bands:<n>" — contiguous row-major tile
-  /// bands, one per shard, with the KVS tile re-homed to the DMA shard
-  /// (both touch host memory).
-  std::string shard_layout() const { return shard_layout_; }
-
  private:
   PanicConfig config_;
   PanicTopology topo_;
@@ -116,7 +110,6 @@ class PanicNic {
   std::unique_ptr<fault::FaultInjector> injector_;
   fault::Watchdog* watchdog_ = nullptr;          ///< owned via owned_
   fault::RecoveryTracker* recovery_ = nullptr;   ///< owned via owned_
-  std::string shard_layout_ = "none";
 
   std::vector<std::unique_ptr<Component>> owned_;
 };

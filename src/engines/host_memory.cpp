@@ -14,10 +14,22 @@ void HostMemory::write(std::uint64_t addr,
     const std::size_t off = a & (kPageSize - 1);
     const std::size_t n = std::min(data.size() - i, kPageSize - off);
     std::copy_n(data.data() + i, n, page->data.data() + off);
-    for (std::size_t j = 0; j < n; ++j) page->written.set(off + j);
+    page->mark_written(off, n);
     i += n;
   }
   bytes_written_ += data.size();
+}
+
+void HostMemory::Page::mark_written(std::size_t off, std::size_t n) {
+  const std::size_t end = off + n;
+  while (off < end) {
+    const std::size_t bit = off & 63;
+    const std::size_t take = std::min<std::size_t>(64 - bit, end - off);
+    const std::uint64_t ones =
+        take == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << take) - 1);
+    written[off >> 6] |= ones << bit;
+    off += take;
+  }
 }
 
 std::uint8_t HostMemory::deterministic_byte(std::uint64_t addr) {
@@ -50,7 +62,7 @@ void HostMemory::read_into(std::uint64_t addr, std::uint32_t len,
       const Page& p = *it->second;
       for (std::size_t j = 0; j < n; ++j) {
         out[i + j] =
-            p.written.test(off + j) ? p.data[off + j] : deterministic_byte(a + j);
+            p.is_written(off + j) ? p.data[off + j] : deterministic_byte(a + j);
       }
     }
     i += n;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <array>
-#include <bitset>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -45,7 +44,14 @@ class HostMemory {
   /// old byte-granular map, without a hash node per written byte).
   struct Page {
     std::array<std::uint8_t, kPageSize> data;
-    std::bitset<kPageSize> written;
+    /// Bit i of word i/64 is set once byte i has been written.
+    std::array<std::uint64_t, kPageSize / 64> written{};
+
+    bool is_written(std::size_t i) const {
+      return (written[i >> 6] >> (i & 63)) & 1u;
+    }
+    /// Marks bytes [off, off + n) written, a 64-bit word at a time.
+    void mark_written(std::size_t off, std::size_t n);
   };
 
   static std::uint8_t deterministic_byte(std::uint64_t addr);

@@ -14,11 +14,8 @@
 // moment of destruction.  The hot-path cost is a handful of increments on
 // paths that already touch the pool.  Like the pool it is a leaky
 // singleton; tests and benches reset() it at the start of a measured run.
-// Tallies are relaxed atomics: any shard of the parallel kernel may create
-// or destroy messages, and per-fate totals are order-independent sums.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -58,52 +55,50 @@ class ConservationLedger {
   void reset();
 
   /// Called by make_message().
-  void on_create() { created_.fetch_add(1, std::memory_order_relaxed); }
+  void on_create() { ++created_; }
 
   /// Called by MessagePool::release with the dying message's fate.
   void on_destroy(MessageFate fate) noexcept {
     switch (fate) {
       case MessageFate::kInFlight:
-        lost_.fetch_add(1, std::memory_order_relaxed);
+        ++lost_;
         break;
       case MessageFate::kDelivered:
-        delivered_.fetch_add(1, std::memory_order_relaxed);
+        ++delivered_;
         break;
       case MessageFate::kDropped:
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        ++dropped_;
         break;
       case MessageFate::kConsumed:
-        consumed_.fetch_add(1, std::memory_order_relaxed);
+        ++consumed_;
         break;
       case MessageFate::kFaulted:
-        faulted_.fetch_add(1, std::memory_order_relaxed);
+        ++faulted_;
         break;
       case MessageFate::kShed:
-        shed_.fetch_add(1, std::memory_order_relaxed);
+        ++shed_;
         break;
     }
-    destroyed_.fetch_add(1, std::memory_order_relaxed);
+    ++destroyed_;
   }
 
   Report report() const;
 
-  std::uint64_t created() const {
-    return created_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t lost() const { return lost_.load(std::memory_order_relaxed); }
+  std::uint64_t created() const { return created_; }
+  std::uint64_t lost() const { return lost_; }
 
  private:
   ConservationLedger() = default;
   ~ConservationLedger() = delete;  // leaky: reachable until process exit
 
-  std::atomic<std::uint64_t> created_{0};
-  std::atomic<std::uint64_t> destroyed_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> consumed_{0};
-  std::atomic<std::uint64_t> faulted_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> lost_{0};
+  std::uint64_t created_ = 0;
+  std::uint64_t destroyed_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t dropped_ = 0;
+  std::uint64_t consumed_ = 0;
+  std::uint64_t faulted_ = 0;
+  std::uint64_t shed_ = 0;
+  std::uint64_t lost_ = 0;
 };
 
 }  // namespace panic

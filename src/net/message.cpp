@@ -1,6 +1,5 @@
 #include "net/message.h"
 
-#include <atomic>
 
 #include "net/conservation.h"
 #include "net/message_pool.h"
@@ -62,10 +61,10 @@ void MessageDeleter::operator()(Message* msg) const noexcept {
 }
 
 MessagePtr make_message(MessageKind kind) {
-  static std::atomic<std::uint64_t> next_id{1};
+  static std::uint64_t next_id = 1;
   ConservationLedger::instance().on_create();
   MessagePtr msg(MessagePool::instance().acquire());
-  msg->id = MessageId{next_id.fetch_add(1, std::memory_order_relaxed)};
+  msg->id = MessageId{next_id++};
   msg->kind = kind;
   return msg;
 }

@@ -18,24 +18,19 @@ MessagePool& MessagePool::instance() {
 }
 
 Message* MessagePool::acquire() {
-  Message* msg = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.live;
-    if (stats_.live > stats_.live_high_watermark) {
-      stats_.live_high_watermark = stats_.live;
-    }
-    if (free_head_ == nullptr) {
-      ++stats_.pool_misses;
-    } else {
-      ++stats_.pool_hits;
-      msg = free_head_;
-      free_head_ = msg->pool_next;
-      --free_count_;
-      stats_.bytes_reused += msg->data.capacity();
-    }
+  ++stats_.live;
+  if (stats_.live > stats_.live_high_watermark) {
+    stats_.live_high_watermark = stats_.live;
   }
-  if (msg == nullptr) return new Message();  // heap work outside the lock
+  if (free_head_ == nullptr) {
+    ++stats_.pool_misses;
+    return new Message();
+  }
+  ++stats_.pool_hits;
+  Message* msg = free_head_;
+  free_head_ = msg->pool_next;
+  --free_count_;
+  stats_.bytes_reused += msg->data.capacity();
   msg->pool_next = nullptr;
   msg->in_pool = false;
   msg->reset_for_reuse();
@@ -56,7 +51,6 @@ void MessagePool::release(Message* msg) noexcept {
     std::abort();
   }
   ConservationLedger::instance().on_destroy(msg->fate);
-  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.recycled;
   --stats_.live;
   msg->in_pool = true;
@@ -66,31 +60,17 @@ void MessagePool::release(Message* msg) noexcept {
 }
 
 void MessagePool::reserve(std::size_t target) {
-  std::size_t deficit = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (free_count_ < target) deficit = target - free_count_;
-  }
-  if (deficit == 0) return;
-  // Heap work outside the lock; splice the chain in with one swap.
-  Message* head = nullptr;
-  Message* tail = nullptr;
-  for (std::size_t i = 0; i < deficit; ++i) {
+  while (free_count_ < target) {
     Message* msg = new Message();
     msg->in_pool = true;
-    msg->pool_next = head;
-    head = msg;
-    if (tail == nullptr) tail = msg;
+    msg->pool_next = free_head_;
+    free_head_ = msg;
+    ++free_count_;
+    ++stats_.prewarmed;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  tail->pool_next = free_head_;
-  free_head_ = head;
-  free_count_ += deficit;
-  stats_.prewarmed += deficit;
 }
 
 void MessagePool::trim() {
-  std::lock_guard<std::mutex> lock(mu_);
   while (free_head_ != nullptr) {
     Message* next = free_head_->pool_next;
     delete free_head_;

@@ -15,18 +15,15 @@
 //     existing sink — host delivery, wire TX, queue drops, DMA completions,
 //     baselines — recycles automatically when the unique_ptr dies.
 //   * The pool is a leaky process-wide singleton: it outlives every
-//     simulator and stays reachable at exit (leak-checker clean).
-//   * All entry points are thread-safe behind one mutex: under the
-//     parallel kernel any shard may allocate or recycle messages.  The
-//     lock is uncontended in sequential modes and short (pointer swaps) in
-//     parallel ones; which shard gets a pool hit vs. miss becomes
-//     schedule-dependent, which is why the kernel.alloc.* gauges are
-//     excluded from the differential oracles.
+//     simulator and stays reachable at exit (leak-checker clean).  Its
+//     hit/miss history depends on everything the process ran before, which
+//     is why the kernel.alloc.* gauges are excluded from the differential
+//     oracles.
+//   * Single-threaded, like the simulator.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 
 namespace panic {
 
@@ -58,17 +55,9 @@ class MessagePool {
   /// ConservationLedger (net/conservation.h).
   void release(Message* msg) noexcept;
 
-  /// Point-in-time copy (by value: the cells mutate under the pool's own
-  /// lock, so handing out a reference would be a torn read in parallel
-  /// runs).
-  Stats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-  std::size_t free_size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return free_count_;
-  }
+  /// Point-in-time copy.
+  Stats stats() const { return stats_; }
+  std::size_t free_size() const { return free_count_; }
 
   /// Frees the entire free list (tests that want a cold pool).  Live
   /// messages are unaffected.
@@ -88,7 +77,6 @@ class MessagePool {
 
   /// Free list threaded through the messages themselves (Message::pool_next)
   /// so the pool needs no side storage that could reallocate.
-  mutable std::mutex mu_;
   Message* free_head_ = nullptr;
   std::size_t free_count_ = 0;
   Stats stats_;

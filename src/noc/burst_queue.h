@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "common/ids.h"
@@ -42,6 +41,10 @@ struct FlitBurst {
   std::uint32_t total = 1;
   std::uint32_t count = 0;
   Cycle ready = 0;
+  /// Router outputs (bit per Direction) the message's head flit may take;
+  /// computed once when the head is accepted, meaningful while the head
+  /// (seq == 0) is the burst's first flit.  0 in eject queues.
+  std::uint8_t route = 0;
   MessagePtr msg;  ///< attached once the tail flit has joined the run
 };
 
@@ -57,18 +60,18 @@ class FlitBurstQueue {
   /// Occupancy in flits (what credits are counted in).
   std::size_t size() const { return flits_; }
   std::size_t capacity() const { return capacity_; }
-  /// Descriptors held (≤ size(); the compression ratio in telemetry).
-  std::size_t bursts() const { return bursts_.size(); }
 
-  /// Enqueues one flit, visible at `ready`.  Caller must check !full().
-  void push_flit(Flit flit, Cycle ready) {
+  /// Enqueues one flit, visible at `ready`; `route` is the head flit's
+  /// permitted-output mask (ignored for other flits, which never start a
+  /// burst whose route is read).  Caller must check !full().
+  void push_flit(Flit&& flit, Cycle ready, std::uint8_t route = 0) {
     assert(!full());
+    ++flits_;
     if (!bursts_.empty()) {
       FlitBurst& b = bursts_.back();
       if (b.dst == flit.dst && b.total == flit.total &&
           b.seq + b.count == flit.seq && b.ready + b.count == ready) {
         ++b.count;
-        ++flits_;
         if (flit.msg != nullptr) b.msg = std::move(flit.msg);
         return;
       }
@@ -79,9 +82,9 @@ class FlitBurstQueue {
     b.total = flit.total;
     b.count = 1;
     b.ready = ready;
+    b.route = route;
     b.msg = std::move(flit.msg);
     bursts_.push(std::move(b));
-    ++flits_;
   }
 
   /// True if the oldest flit exists and is ready at `now`.
@@ -89,14 +92,13 @@ class FlitBurstQueue {
     return flits_ != 0 && bursts_.front().ready <= now;
   }
 
-  /// The burst whose first flit is the queue head, if that flit is ready.
-  const FlitBurst* peek(Cycle now) const {
-    return ready(now) ? &bursts_.front() : nullptr;
-  }
+  /// The burst whose first flit is the queue head.  Caller must check
+  /// !empty().
+  const FlitBurst& front() const { return bursts_.front(); }
 
-  /// Dequeues the oldest flit if ready.
-  std::optional<Flit> try_pop_flit(Cycle now) {
-    if (!ready(now)) return std::nullopt;
+  /// Dequeues the oldest flit.  Caller must check ready().
+  Flit pop_flit() {
+    assert(flits_ != 0);
     FlitBurst& b = bursts_.front();
     Flit flit(b.dst, b.seq, b.total);
     if (flit.is_tail()) flit.msg = std::move(b.msg);
@@ -112,11 +114,6 @@ class FlitBurstQueue {
   Cycle next_ready() const {
     return flits_ == 0 ? std::numeric_limits<Cycle>::max()
                        : bursts_.front().ready;
-  }
-
-  void clear() {
-    bursts_.clear();
-    flits_ = 0;
   }
 
  private:

@@ -1,20 +1,29 @@
 #include "noc/mesh.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 
+#include "telemetry/telemetry.h"
+
 namespace panic::noc {
 
-Mesh::Mesh(const MeshConfig& config, Simulator& sim) : config_(config) {
+Mesh::Mesh(const MeshConfig& config, Simulator& sim)
+    : Component("noc"),
+      config_(config),
+      dense_(sim.mode() == SimMode::kStrictTick) {
   const int k = config_.k;
   assert(k >= 2);
-  routers_.reserve(static_cast<std::size_t>(k) * k);
-  nis_.reserve(static_cast<std::size_t>(k) * k);
+  const auto tiles = static_cast<std::size_t>(k) * k;
+  routers_.reserve(tiles);
+  nis_.reserve(tiles);
+  ni_busy_.resize((tiles + 63) / 64);
+  router_busy_.resize((tiles + 63) / 64);
 
   for (int y = 0; y < k; ++y) {
     for (int x = 0; x < k; ++x) {
       routers_.push_back(std::make_unique<Router>(
-          x, y, k, config_.buffer_flits, config_.routing));
+          this, x, y, k, config_.buffer_flits, config_.routing));
     }
   }
   for (int y = 0; y < k; ++y) {
@@ -47,88 +56,84 @@ Mesh::Mesh(const MeshConfig& config, Simulator& sim) : config_(config) {
     }
   }
 
-  // Tick NIs before routers so an injected flit can be considered by the
-  // router on the next cycle (both use ready = now + 1, so order only
-  // affects constant staging latency, not correctness).
-  for (auto& ni : nis_) sim.add(ni.get());
-  for (auto& r : routers_) sim.add(r.get());
-
-  sim.telemetry().metrics().expose_gauge("noc.flits_routed", [this] {
-    return static_cast<double>(total_flits_routed());
-  });
-  sim.telemetry().metrics().expose_counter("noc.credit_flushes",
-                                           &credit_flushes_);
-
-  credit_logs_.resize(1);
-  for (auto& r : routers_) r->set_credit_log(&credit_logs_[0]);
-
-  // Registered credit-based flow control: credits freed by pops this cycle
-  // become visible to upstream routers at the next cycle, in every kernel
-  // mode (see noc/router.h).  The hook runs on the coordinator after every
-  // tick of the cycle (and after the parallel barrier), and folds only the
-  // outputs a pop logged — a cycle without pops costs nothing here,
-  // however large the mesh.  Each logged output is folded once and the
-  // folds are independent, so the log order is immaterial.
-  sim.add_end_of_cycle_hook([this](Cycle) {
-    for (auto& log : credit_logs_) {
-      for (const CreditReturn& c : log) c.router->flush_credits(c.out);
-      credit_flushes_ += log.size();
-      log.clear();
-    }
-  });
+  sim.add(this);
 }
 
-void Mesh::assign_shards(const std::vector<int>& tile_to_shard,
-                         Simulator& sim) {
-  if (sim.mode() != SimMode::kParallelShards) return;
-  assert(tile_to_shard.size() == static_cast<std::size_t>(tiles()));
-  tile_shards_ = tile_to_shard;
-  boundary_staged_.resize(static_cast<std::size_t>(sim.num_shards()));
-  credit_logs_.resize(static_cast<std::size_t>(sim.num_shards()) + 1);
+void Mesh::register_telemetry(telemetry::Telemetry& t) {
+  // No Component::register_telemetry here: the Mesh records no trace
+  // events of its own, so it interns no trace tag.  NIs then routers, in
+  // tile order, fixes their trace-tag ids and metric order.
+  for (auto& ni : nis_) ni->register_telemetry(t);
+  for (auto& r : routers_) r->register_telemetry(t);
+  t.metrics().expose_gauge("noc.flits_routed", [this] {
+    return static_cast<double>(total_flits_routed());
+  });
+  t.metrics().expose_counter("noc.credit_flushes", &credit_flushes_);
+}
 
-  const int k = config_.k;
-  for (int t = 0; t < tiles(); ++t) {
-    const int shard = tile_shards_[static_cast<std::size_t>(t)];
-    sim.set_shard(nis_[static_cast<std::size_t>(t)].get(), shard);
-    sim.set_shard(routers_[static_cast<std::size_t>(t)].get(), shard);
-    // Every router is re-pointed: the resize above may have moved entry 0.
-    routers_[static_cast<std::size_t>(t)]->set_credit_log(
-        &credit_logs_[static_cast<std::size_t>(shard + 1)]);
-    if (shard < 0) continue;
-    // Mark outputs whose neighbor lives on another shard as boundaries;
-    // the staging vector belongs to the *source* shard (single writer).
-    const int x = t % k, y = t / k;
-    struct Hop {
-      Direction dir;
-      int dx, dy;
-    };
-    static constexpr Hop kHops[] = {{Direction::kNorth, 0, -1},
-                                    {Direction::kEast, 1, 0},
-                                    {Direction::kSouth, 0, 1},
-                                    {Direction::kWest, -1, 0}};
-    for (const Hop& h : kHops) {
-      const int nx = x + h.dx, ny = y + h.dy;
-      if (nx < 0 || nx >= k || ny < 0 || ny >= k) continue;
-      const int nt = ny * k + nx;
-      if (tile_shards_[static_cast<std::size_t>(nt)] != shard) {
-        routers_[static_cast<std::size_t>(t)]->set_boundary(
-            h.dir, &boundary_staged_[static_cast<std::size_t>(shard)]);
-      }
+namespace {
+
+/// Ticks the elements of `elems` whose bit is set in `busy`, in index
+/// order, clearing the bit of each one its tick leaves idle.  Bits set
+/// during the scan in a later word are visited this cycle and bits in the
+/// current word from the next cycle on; both are no-op ticks this cycle,
+/// because every push lands with ready >= now + 1.
+template <typename T>
+void tick_busy(std::vector<std::uint64_t>& busy,
+               const std::vector<std::unique_ptr<T>>& elems, Cycle now) {
+  for (std::size_t w = 0; w < busy.size(); ++w) {
+    for (std::uint64_t bits = busy[w]; bits != 0; bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      T& e = *elems[w * 64 + static_cast<std::size_t>(b)];
+      e.tick(now);
+      if (e.idle()) busy[w] &= ~(std::uint64_t{1} << b);
     }
   }
+}
 
-  // The coordinator replays staged boundary flits right after the cycle
-  // barrier, before serial components tick: deterministic order (by source
-  // shard, then staging order within the shard), and inter-port ordering
-  // is immaterial — each mesh input port has exactly one producer.
-  sim.add_post_parallel_hook([this](Cycle now) {
-    for (auto& staged : boundary_staged_) {
-      for (BoundaryFlit& bf : staged) {
-        bf.target->accept(bf.from, std::move(bf.flit), now);
-      }
-      staged.clear();
+/// The earliest next_due over the busy elements; stops at `now + 1`.
+template <typename T>
+Cycle next_due(const std::vector<std::uint64_t>& busy,
+               const std::vector<std::unique_ptr<T>>& elems, Cycle now,
+               Cycle next) {
+  for (std::size_t w = 0; w < busy.size(); ++w) {
+    for (std::uint64_t bits = busy[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t i = w * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(bits));
+      const Cycle due = elems[i]->next_due(now);
+      if (due <= now + 1) return now + 1;
+      if (due < next) next = due;
     }
-  });
+  }
+  return next;
+}
+
+}  // namespace
+
+void Mesh::tick(Cycle now) {
+  if (dense_) {
+    for (auto& ni : nis_) ni->tick(now);
+    for (auto& r : routers_) r->tick(now);
+  } else {
+    tick_busy(ni_busy_, nis_, now);
+    tick_busy(router_busy_, routers_, now);
+  }
+
+  // Registered credit-based flow control: credits freed by this tick's
+  // pops become visible to upstream routers at the next cycle (see
+  // noc/router.h).  Every pop happens inside this tick, so folding here is
+  // the same as folding at the end of the cycle.  Only logged outputs are
+  // folded — a tick without pops costs nothing here, however large the
+  // mesh — and each once, independently, so the log order is immaterial.
+  for (const CreditReturn& c : credit_log_) c.router->flush_credits(c.out);
+  credit_flushes_ += credit_log_.size();
+  credit_log_.clear();
+}
+
+Cycle Mesh::next_wake(Cycle now) const {
+  const Cycle next = next_due(ni_busy_, nis_, now, kNeverWake);
+  if (next <= now + 1) return next;
+  return next_due(router_busy_, routers_, now, next);
 }
 
 int Mesh::distance(EngineId a, EngineId b) const {

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "noc/mesh.h"
 #include "telemetry/telemetry.h"
 
 namespace panic::noc {
@@ -16,7 +17,6 @@ NetworkInterface::NetworkInterface(EngineId tile, std::uint32_t channel_bits,
       pending_(inject_depth ? inject_depth : 1) {
   assert(router_ != nullptr);
   assert(channel_bits_ > 0);
-  router_->set_local_sink(this);
 }
 
 void NetworkInterface::inject(MessagePtr msg, EngineId dst, Cycle now) {
@@ -27,9 +27,7 @@ void NetworkInterface::inject(MessagePtr msg, EngineId dst, Cycle now) {
   p.msg = std::move(msg);
   p.dst = dst;
   pending_.push(std::move(p));
-  // next_wake sees pending_ non-empty, so only a sleeping NI needs the
-  // explicit wake to start segmenting at the next tick.
-  if (!kernel_awake()) request_wake(now);
+  router_->mesh().mark_ni_busy(tile_.value, now);
 }
 
 MessagePtr NetworkInterface::try_receive(Cycle now) {
@@ -56,10 +54,12 @@ void NetworkInterface::tick(Cycle now) {
   // Ejection: one flit per cycle from the router's eject queue.  Wormhole
   // switching guarantees flits of a message arrive contiguously, so the
   // message is complete when its tail flit appears.
-  if (auto flit = router_->eject_queue().try_pop_flit(now)) {
-    if (flit->is_tail()) {
-      assert(flit->msg != nullptr);
-      received_.try_push(std::move(flit->msg), now);
+  FlitBurstQueue& eject = router_->eject_queue();
+  if (eject.ready(now)) {
+    Flit flit = eject.pop_flit();
+    if (flit.is_tail()) {
+      assert(flit.msg != nullptr);
+      received_.try_push(std::move(flit.msg), now);
       ++messages_received_;
       if (client_ != nullptr) client_->request_wake(now);
     }
@@ -78,13 +78,5 @@ void NetworkInterface::register_telemetry(telemetry::Telemetry& t) {
   });
 }
 
-Cycle NetworkInterface::next_wake(Cycle now) const {
-  // Segmentation pending: one flit per cycle (retrying while the router's
-  // local input is full).  Otherwise sleep until the next ejected flit —
-  // next_ready() is kNeverWake when the eject queue is empty.
-  if (!pending_.empty()) return now + 1;
-  const Cycle eject = router_->eject_queue().next_ready();
-  return eject > now + 1 ? eject : now + 1;
-}
 
 }  // namespace panic::noc

@@ -1,7 +1,8 @@
 // Network interface (NI): the shim between an engine and its mesh router.
 // Segments outgoing messages into flits at the channel bit width, feeds
 // them into the router's local input port at one flit per cycle, and
-// reassembles arriving flits back into messages.
+// reassembles arriving flits back into messages.  NIs are not kernel
+// components: the Mesh ticks them (see mesh.h).
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,7 @@
 
 namespace panic::noc {
 
-class NetworkInterface : public Component {
+class NetworkInterface final : public Component {
  public:
   /// `tile` — this NI's address; `channel_bits` — mesh channel width;
   /// `inject_depth` — how many *messages* may be queued for injection
@@ -32,7 +33,9 @@ class NetworkInterface : public Component {
   /// True if another message can be queued for injection.
   bool can_inject() const { return pending_.size() < inject_depth_; }
 
-  /// Queues `msg` for transmission to `dst`.  Precondition: can_inject().
+  /// Queues `msg` for transmission to `dst`; the first flit enters the
+  /// router at the Mesh's next tick.  Marks this NI busy in the Mesh.
+  /// Precondition: can_inject().
   void inject(MessagePtr msg, EngineId dst, Cycle now);
 
   /// Returns a fully reassembled incoming message, or nullptr.
@@ -42,9 +45,20 @@ class NetworkInterface : public Component {
   /// one ejected flit per cycle (matching the single local port).
   void tick(Cycle now) override;
 
-  /// Quiescent when there is nothing to segment and nothing to eject;
-  /// inject() and the router's eject path wake it.
-  Cycle next_wake(Cycle now) const override;
+  /// Nothing to segment and nothing to eject: tick() would be a no-op
+  /// until inject() or the router's eject path hands it work.
+  bool idle() const {
+    return pending_.empty() && router_->eject_queue().empty();
+  }
+
+  /// The earliest cycle after `now` at which tick() can do work:
+  /// `now + 1` while segmenting (retrying while the router's local input
+  /// is full), else the next ejected flit's ready cycle.
+  Cycle next_due(Cycle now) const {
+    if (!pending_.empty()) return now + 1;
+    const Cycle eject = router_->eject_queue().next_ready();
+    return eject > now + 1 ? eject : now + 1;
+  }
 
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t messages_received() const { return messages_received_; }

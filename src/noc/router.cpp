@@ -3,6 +3,7 @@
 #include <bit>
 #include <cassert>
 
+#include "noc/mesh.h"
 #include "telemetry/telemetry.h"
 
 namespace panic::noc {
@@ -28,17 +29,20 @@ constexpr Direction kReverse[] = {Direction::kSouth, Direction::kWest,
                                   Direction::kLocal};
 }  // namespace
 
-Router::Router(int x, int y, int k, std::size_t buffer_flits,
+Router::Router(Mesh* mesh, int x, int y, int k, std::size_t buffer_flits,
                RoutingAlgo algo)
     : Component("router(" + std::to_string(x) + "," + std::to_string(y) + ")"),
+      mesh_(mesh),
       x_(x),
       y_(y),
       k_(k),
+      tile_(y * k + x),
       algo_(algo),
       inputs_{FlitBurstQueue(buffer_flits), FlitBurstQueue(buffer_flits),
               FlitBurstQueue(buffer_flits), FlitBurstQueue(buffer_flits),
               FlitBurstQueue(buffer_flits)},
       eject_(kEjectDepth) {
+  head_ready_.fill(kNeverWake);
   output_owner_.fill(-1);
   rr_.fill(0);
 }
@@ -74,8 +78,9 @@ bool Router::can_accept(Direction from) const {
   return q.size() + leaked < q.capacity();
 }
 
-void Router::accept(Direction from, Flit flit, Cycle now) {
-  auto& q = inputs_[static_cast<int>(from)];
+void Router::accept(Direction from, Flit&& flit, Cycle now) {
+  const int i = static_cast<int>(from);
+  auto& q = inputs_[i];
   assert(!q.full());
   // The assert above vanishes under NDEBUG; keep a counter the fuzz
   // harness's lossless-NoC oracle can check in any build flavor.
@@ -83,50 +88,46 @@ void Router::accept(Direction from, Flit flit, Cycle now) {
   // +1: the hop latency — the flit is routable the cycle after it arrives.
   Cycle ready = now + 1;
   if (faults_armed_) {
-    PortFault& pf = port_faults_[static_cast<int>(from)];
+    PortFault& pf = port_faults_[i];
     if (pf.flaky_p > 0.0 && now < pf.flaky_until &&
         pf.rng.bernoulli(pf.flaky_p)) {
       ready += pf.flaky_delay;
       ++flits_delayed_;
     }
   }
-  q.push_flit(std::move(flit), ready);
-  // An awake router re-discovers the flit itself: it ticks every cycle
-  // and its parking poll (next_wake) scans the input FIFOs.  Eliding the
-  // redundant wake here removes the hottest request_wake call site under
-  // saturation (one per accepted flit).
-  if (!kernel_awake()) request_wake(ready);  // the flit's ready cycle
+  const std::uint8_t route = flit.is_head() ? route_mask(flit.dst) : 0;
+  if (q.empty()) {
+    head_ready_[i] = ready;
+    head_want_[i] = flit.is_head() ? route : owned_[i];
+  }
+  q.push_flit(std::move(flit), ready, route);
+  mesh_->mark_router_busy(tile_, ready);
 }
 
-bool Router::permitted(Direction dir, EngineId dst) const {
+std::uint8_t Router::route_mask(EngineId dst) const {
+  auto bit = [](Direction d) {
+    return static_cast<std::uint8_t>(1u << static_cast<int>(d));
+  };
   const int dx = dst.value % k_ - x_;
   const int dy = dst.value / k_ - y_;
-  if (dx == 0 && dy == 0) return dir == Direction::kLocal;
+  if (dx == 0 && dy == 0) return bit(Direction::kLocal);
 
   if (algo_ == RoutingAlgo::kXY) {
     // Dimension order: X fully, then Y.
-    if (dx > 0) return dir == Direction::kEast;
-    if (dx < 0) return dir == Direction::kWest;
-    return dir == (dy > 0 ? Direction::kSouth : Direction::kNorth);
+    if (dx > 0) return bit(Direction::kEast);
+    if (dx < 0) return bit(Direction::kWest);
+    return bit(dy > 0 ? Direction::kSouth : Direction::kNorth);
   }
 
   // West-first: all West hops first; afterwards any productive direction
   // (E/N/S toward the destination) is allowed — turns into West are the
   // only ones prohibited, which breaks every cycle of the turn graph.
-  if (dx < 0) return dir == Direction::kWest;
-  switch (dir) {
-    case Direction::kEast: return dx > 0;
-    case Direction::kSouth: return dy > 0;
-    case Direction::kNorth: return dy < 0;
-    default: return false;
-  }
-}
-
-bool Router::downstream_ready(Direction out) const {
-  if (out == Direction::kLocal) return !eject_.full();
-  assert(neighbors_[static_cast<int>(out)] != nullptr &&
-         "flit routed toward a missing neighbor");
-  return credits_[static_cast<int>(out)] > 0;
+  if (dx < 0) return bit(Direction::kWest);
+  std::uint8_t mask = 0;
+  if (dx > 0) mask |= bit(Direction::kEast);
+  if (dy > 0) mask |= bit(Direction::kSouth);
+  if (dy < 0) mask |= bit(Direction::kNorth);
+  return mask;
 }
 
 void Router::register_telemetry(telemetry::Telemetry& t) {
@@ -178,7 +179,14 @@ void Router::fault_leak_credits(int port, std::uint32_t amount) {
   faults_armed_ = true;
 }
 
-void Router::forward(Direction out, Flit flit, Cycle now) {
+void Router::stage_credit_return(int out) {
+  if (returns_staged_[out]++ == 0) {
+    mesh_->credit_log_.push_back(
+        CreditReturn{this, static_cast<std::uint8_t>(out)});
+  }
+}
+
+void Router::forward(int out, Flit&& flit, Cycle now) {
   ++flits_routed_;
   // The tail flit carries the message, so the hop is attributed when the
   // whole message has cleared this router (keeps Flit free of extra
@@ -187,29 +195,17 @@ void Router::forward(Direction out, Flit flit, Cycle now) {
     trace(telemetry::TraceEventKind::kNocHop, now, flit.msg->id,
           flit.dst.value);
   }
-  if (out == Direction::kLocal) {
+  if (out == static_cast<int>(Direction::kLocal)) {
     assert(!eject_.full());
     eject_.push_flit(std::move(flit), now + 1);
-    // The NI's next_wake scans this eject queue, so an awake NI needs no
-    // explicit wake (same elision as Router::accept).
-    if (local_sink_ != nullptr && !local_sink_->kernel_awake()) {
-      local_sink_->request_wake(now + 1);
-    }
+    mesh_->mark_ni_busy(tile_, now + 1);
     return;
   }
-  const int o = static_cast<int>(out);
-  assert(credits_[o] > 0 && "forward() without a credit");
-  --credits_[o];
-  Router* n = neighbors_[o];
-  if (boundary_out_[o] != nullptr) {
-    // Shard boundary: the coordinator replays the accept() at the cycle
-    // barrier, before any serial component ticks — same cycle, same ready
-    // stamp, so downstream state is indistinguishable from direct
-    // delivery.
-    boundary_out_[o]->push_back(BoundaryFlit{n, kReverse[o], std::move(flit)});
-    return;
-  }
-  n->accept(kReverse[o], std::move(flit), now);
+  assert(neighbors_[out] != nullptr &&
+         "flit routed toward a missing neighbor");
+  assert(credits_[out] > 0 && "forward() without a credit");
+  --credits_[out];
+  neighbors_[out]->accept(kReverse[out], std::move(flit), now);
 }
 
 void Router::tick(Cycle now) {
@@ -218,18 +214,25 @@ void Router::tick(Cycle now) {
   // with ready >= now + 1), and one flit may leave per input per cycle, so
   // a popping input just drops out of the mask.  With the mask empty the
   // allocation loop is a no-op — no flit moves, no counter or round-robin
-  // pointer changes — which is what lets idle and not-yet-ready routers
-  // skip it outright, and lets the output loop stop once every ready
-  // input has left.
+  // pointer changes — which is what lets the Mesh skip idle and
+  // not-yet-ready routers outright.
   unsigned ready = 0;
   for (int i = 0; i < kNumPorts; ++i) {
-    if (inputs_[i].ready(now)) ready |= 1u << i;
+    if (head_ready_[i] <= now) ready |= 1u << i;
+  }
+  if (ready == 0) return;
+
+  // The outputs some ready input wants.  Every other output would find no
+  // candidate (its owner, if any, is not ready) and change nothing, so
+  // only these are visited, in the same ascending order.
+  unsigned want = 0;
+  for (unsigned m = ready; m != 0; m &= m - 1) {
+    want |= head_want_[std::countr_zero(m)];
   }
 
   // One flit may leave per output port per cycle.
-  for (int o = 0; o < kNumPorts && ready != 0; ++o) {
-    const auto out = static_cast<Direction>(o);
-
+  for (; want != 0 && ready != 0; want &= want - 1) {
+    const int o = std::countr_zero(want);
     int chosen = -1;
     if (output_owner_[o] >= 0) {
       // Wormhole: the output is locked to an input until the tail passes.
@@ -237,57 +240,58 @@ void Router::tick(Cycle now) {
       if ((ready >> i) & 1u) chosen = i;
     } else {
       // Allocate: round-robin from rr_[o] over ready inputs whose head
-      // flit is a head flit routed to this output.  Bit s of `order` is
-      // input (rr_[o] + s) % kNumPorts.
-      const int start = rr_[o];
-      unsigned order =
-          ((ready >> start) | (ready << (kNumPorts - start))) &
-          ((1u << kNumPorts) - 1);
-      for (; order != 0; order &= order - 1) {
-        const int i = (start + std::countr_zero(order)) % kNumPorts;
-        const FlitBurst* b = inputs_[i].peek(now);
-        if (b->seq != 0) continue;  // need a head flit
-        if (!permitted(out, b->dst)) continue;
-        chosen = i;
-        rr_[o] = (i + 1) % kNumPorts;
-        break;
+      // flit is a head flit routed to this output (a free output is
+      // wanted by head flits only).  Bit s of `order` is input
+      // (rr_[o] + s) % kNumPorts.
+      unsigned candidates = 0;
+      for (unsigned m = ready; m != 0; m &= m - 1) {
+        const int i = std::countr_zero(m);
+        if ((head_want_[i] >> o) & 1u) candidates |= 1u << i;
+      }
+      if (candidates != 0) {
+        const int start = rr_[o];
+        const unsigned order =
+            ((candidates >> start) | (candidates << (kNumPorts - start))) &
+            ((1u << kNumPorts) - 1);
+        chosen = (start + std::countr_zero(order)) % kNumPorts;
+        rr_[o] = (chosen + 1) % kNumPorts;
       }
     }
 
     if (chosen < 0) continue;
-    if (!downstream_ready(out)) {
+    if (!downstream_ready(o)) {
       ++stall_cycles_;  // a flit was ready but the downstream buffer was full
       continue;
     }
 
-    Flit flit = *inputs_[chosen].try_pop_flit(now);
+    FlitBurstQueue& q = inputs_[chosen];
+    Flit flit = q.pop_flit();
     ready &= ~(1u << chosen);
-    output_owner_[o] = flit.is_tail() ? -1 : chosen;
+    if (flit.is_tail()) {
+      output_owner_[o] = -1;
+      owned_[chosen] = 0;
+    } else {
+      output_owner_[o] = chosen;
+      owned_[chosen] = static_cast<std::uint8_t>(1u << o);
+    }
+    if (q.empty()) {
+      head_ready_[chosen] = kNeverWake;
+    } else {
+      const FlitBurst& next = q.front();
+      head_ready_[chosen] = next.ready;
+      head_want_[chosen] = next.seq == 0 ? next.route : owned_[chosen];
+    }
     // Return the freed buffer slot to the upstream router as a credit,
-    // visible after the end-of-cycle flush (kLocal is fed by the NI,
-    // which uses the live can_accept() check instead).
+    // visible after the end-of-tick flush (kLocal is fed by the NI, which
+    // uses the live can_accept() check instead).
     if (chosen != static_cast<int>(Direction::kLocal) &&
         neighbors_[chosen] != nullptr) {
-      neighbors_[chosen]->stage_credit_return(kReverse[chosen],
-                                              *credit_log_);
+      neighbors_[chosen]->stage_credit_return(
+          static_cast<int>(kReverse[chosen]));
     }
     if (flit.msg != nullptr) ++flit.msg->noc_hops;  // tail flit carries msg
-    forward(out, std::move(flit), now);
+    forward(o, std::move(flit), now);
   }
-}
-
-Cycle Router::next_wake(Cycle now) const {
-  // Each input FIFO's head is its earliest-ready flit (ready stamps are
-  // monotonic per port).  A head that is already routable but stalled on a
-  // full downstream retries every cycle so stall accounting matches the
-  // dense kernel.
-  Cycle next = kNeverWake;
-  for (const auto& q : inputs_) {
-    if (q.empty()) continue;
-    const Cycle ready = q.next_ready() > now + 1 ? q.next_ready() : now + 1;
-    if (ready < next) next = ready;
-  }
-  return next;
 }
 
 }  // namespace panic::noc

@@ -12,19 +12,17 @@
 // router keeps a per-output credit count initialized to the downstream
 // input buffer's depth, spends one credit per forwarded flit, and credits
 // freed by downstream pops are staged and folded back at the end of the
-// cycle (Mesh registers the flush with the simulator; it visits only the
+// cycle (Mesh folds them at the end of its tick; it visits only the
 // outputs a pop staged a return on this cycle).  A freed slot is
-// therefore usable by the upstream one cycle later.  This makes
-// backpressure independent of intra-cycle tick order — each mesh link has
-// exactly one producer, so registered credits are also what lets the
-// parallel kernel cut the mesh at shard boundaries without changing any
-// observable behavior (see DESIGN.md §"Sharded parallel kernel").
+// therefore usable by the upstream one cycle later, whatever order the
+// routers tick in.
+//
+// Routers are not kernel components: the Mesh ticks them (see mesh.h).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "noc/burst_queue.h"
@@ -52,17 +50,8 @@ const char* to_string(Direction d);
 /// links for east-bound traffic.
 enum class RoutingAlgo : std::uint8_t { kXY, kWestFirst };
 
+class Mesh;
 class Router;
-
-/// A flit crossing a shard boundary, staged by the source shard during the
-/// parallel phase and delivered by the coordinator at the cycle barrier
-/// (the 1-cycle hop latency is the conservative-synchronization lookahead
-/// that makes the deferred delivery invisible).
-struct BoundaryFlit {
-  Router* target;
-  Direction from;  ///< the target's input port
-  Flit flit;
-};
 
 /// A router output with credit returns staged this cycle — one entry in a
 /// Mesh credit log.  Assumption: an entry exists only if a pop staged a
@@ -73,15 +62,17 @@ struct CreditReturn {
   std::uint8_t out;  ///< mesh output (Direction value, < 4)
 };
 
-class Router : public Component {
+class Router final : public Component {
  public:
-  /// `x`,`y` — coordinates in a `k`×`k` mesh; `buffer_flits` — depth of
-  /// each input FIFO.
-  Router(int x, int y, int k, std::size_t buffer_flits,
+  /// `x`,`y` — coordinates in `mesh`, a `k`×`k` mesh; `buffer_flits` —
+  /// depth of each input FIFO.
+  Router(Mesh* mesh, int x, int y, int k, std::size_t buffer_flits,
          RoutingAlgo algo = RoutingAlgo::kXY);
 
   int x() const { return x_; }
   int y() const { return y_; }
+  /// The Mesh that owns (and ticks) this router.
+  Mesh& mesh() const { return *mesh_; }
 
   /// Wires this router's `dir` output to the neighbor (and expects the
   /// symmetric call on the neighbor).  Initializes the output's credit
@@ -90,23 +81,10 @@ class Router : public Component {
 
   /// Folds the credit returns staged on mesh output `out` back into its
   /// credit count (a leak-faulted output repays its debt first).  Mesh
-  /// runs this at the end of each executed cycle, on the coordinator, in
-  /// every kernel mode — for the outputs in its credit logs only.
-  /// Idempotent: a second call finds nothing staged.
+  /// runs this at the end of its tick, in every kernel mode — for the
+  /// outputs in its credit log only.  Idempotent: a second call finds
+  /// nothing staged.
   void flush_credits(int out);
-
-  /// Where this router logs the upstream outputs its pops stage credit
-  /// returns on: the credit log of the context that ticks it (Mesh hands
-  /// out one per shard, so each log has a single writer).
-  void set_credit_log(std::vector<CreditReturn>* log) { credit_log_ = log; }
-
-  /// Marks output `out` as a shard boundary: forwarded flits are appended
-  /// to `stage` (owned by this router's shard) instead of being delivered
-  /// directly, and the coordinator replays them at the cycle barrier.
-  /// nullptr reverts to direct delivery.
-  void set_boundary(Direction out, std::vector<BoundaryFlit>* stage) {
-    boundary_out_[static_cast<int>(out)] = stage;
-  }
 
   /// Available credits for output `out` (tests/diagnostics).
   std::uint32_t credits(Direction out) const {
@@ -118,25 +96,32 @@ class Router : public Component {
   bool can_accept(Direction from) const;
 
   /// Delivers a flit into the `from` input buffer; visible to the router's
-  /// allocation logic from cycle `now + 1` (the hop latency).
-  /// Precondition: can_accept(from).
-  void accept(Direction from, Flit flit, Cycle now);
+  /// allocation logic from cycle `now + 1` (the hop latency).  Marks this
+  /// router busy in the Mesh.  Precondition: can_accept(from).
+  void accept(Direction from, Flit&& flit, Cycle now);
 
   /// The local ejection queue the attached network interface drains.
   FlitBurstQueue& eject_queue() { return eject_; }
   const FlitBurstQueue& eject_queue() const { return eject_; }
 
-  /// Registers the component draining the eject queue (the attached NI);
-  /// it is woken whenever a flit is ejected toward it.
-  void set_local_sink(Component* sink) { local_sink_ = sink; }
-
-  /// One allocation + switch traversal cycle.
+  /// One allocation + switch traversal cycle.  A no-op (no counter or
+  /// round-robin pointer moves) when no head flit is routable at `now`.
   void tick(Cycle now) override;
 
-  /// Quiescent when every input FIFO is empty (arriving flits wake the
-  /// router via accept()); otherwise sleeps until the earliest head flit
-  /// becomes routable.
-  Cycle next_wake(Cycle now) const override;
+  /// Every input FIFO is empty: tick() is a no-op until accept().
+  bool idle() const { return !has_pending_flits(); }
+
+  /// The earliest cycle after `now` at which tick() can do work: `now + 1`
+  /// while a head flit is routable (a stalled head retries every cycle,
+  /// so stall accounting matches the dense kernel), else the earliest
+  /// head's ready cycle; kNeverWake when every input is empty.
+  Cycle next_due(Cycle now) const {
+    Cycle next = head_ready_[0];
+    for (int i = 1; i < kNumPorts; ++i) {
+      if (head_ready_[i] < next) next = head_ready_[i];
+    }
+    return next > now + 1 ? next : now + 1;
+  }
 
   // --- Counters for experiments. ---
   std::uint64_t flits_routed() const { return flits_routed_; }
@@ -171,8 +156,8 @@ class Router : public Component {
   // --- Watchdog probes (fault/watchdog.h). ---
   std::uint64_t progress() const { return flits_routed_; }
   bool has_pending_flits() const {
-    for (const auto& q : inputs_) {
-      if (!q.empty()) return true;
+    for (const Cycle r : head_ready_) {
+      if (r != kNeverWake) return true;
     }
     return false;
   }
@@ -180,60 +165,65 @@ class Router : public Component {
   std::uint64_t flits_delayed() const { return flits_delayed_; }
 
  private:
-  /// Whether output `dir` is productive and permitted for a flit to `dst`
-  /// under the configured routing algorithm (tile id = y*k + x).
-  bool permitted(Direction dir, EngineId dst) const;
+  /// The outputs (bit per Direction) that are productive and permitted
+  /// for a flit to `dst` under the configured routing algorithm (tile id
+  /// = y*k + x).  Computed once per head flit, in accept().
+  std::uint8_t route_mask(EngineId dst) const;
 
   /// True if the downstream of output `out` can accept a flit now: a
   /// registered credit for mesh outputs, live eject-queue occupancy for
-  /// kLocal (the NI is always on this router's tile/shard).
-  bool downstream_ready(Direction out) const;
+  /// kLocal.
+  bool downstream_ready(int out) const {
+    if (out == static_cast<int>(Direction::kLocal)) return !eject_.full();
+    return credits_[out] > 0;
+  }
 
   /// Sends `flit` out of `out` (spends the output's credit).
-  void forward(Direction out, Flit flit, Cycle now);
+  void forward(int out, Flit&& flit, Cycle now);
 
   /// Called by the downstream router when it pops a flit we forwarded:
   /// stages one credit back for output `out`, visible after the next
-  /// flush_credits(), and logs the output in the popping router's
-  /// `log` when nothing was staged on it yet.  Single writer per element —
-  /// only the neighbor on `out` calls this, so it is race-free across
-  /// shards.
-  void stage_credit_return(Direction out, std::vector<CreditReturn>& log) {
-    const int o = static_cast<int>(out);
-    if (returns_staged_[o]++ == 0) {
-      log.push_back(CreditReturn{this, static_cast<std::uint8_t>(o)});
-    }
-  }
+  /// flush_credits(), and logs the output in the Mesh's credit log when
+  /// nothing was staged on it yet.
+  void stage_credit_return(int out);
 
+  Mesh* mesh_;
   int x_;
   int y_;
   int k_;
+  int tile_;
   RoutingAlgo algo_;
 
   /// Input FIFOs store flit bursts (contiguous runs of one message as a
   /// single descriptor); capacity and credits are still counted in flits.
   std::array<FlitBurstQueue, kNumPorts> inputs_;
+  /// Input-queue heads as arrays, kept in step on every push and pop so a
+  /// tick reads them instead of five rings.  head_ready_[i] is
+  /// inputs_[i].next_ready() (kNeverWake when empty); head_want_[i] holds
+  /// the output bits input i's head flit can take: its route mask for a
+  /// head flit, the output its message owns (owned_[i]) for a body flit.
+  std::array<Cycle, kNumPorts> head_ready_;
+  std::array<std::uint8_t, kNumPorts> head_want_{};
   std::array<Router*, kNumPorts> neighbors_{};
   FlitBurstQueue eject_;
-  Component* local_sink_ = nullptr;
-  std::vector<CreditReturn>* credit_log_ = nullptr;
 
   /// Registered flow-control state for the four mesh outputs (kLocal uses
-  /// live eject occupancy).  `credits_` is read/written only by this
-  /// router's shard plus the coordinator's flush; `returns_staged_[o]` is
-  /// written only by the downstream neighbor of output o (which logs o in
-  /// its credit log on the 0 -> 1 step) and consumed by the flush;
-  /// `leak_debt_[o]` swallows staged returns after a
-  /// fault_leak_credits on the downstream input, making the leak
-  /// permanent.
+  /// live eject occupancy).  `returns_staged_[o]` is written only by the
+  /// downstream neighbor of output o (which logs o in the Mesh credit log
+  /// on the 0 -> 1 step) and consumed by the flush; `leak_debt_[o]`
+  /// swallows staged returns after a fault_leak_credits on the downstream
+  /// input, making the leak permanent.
   std::array<std::uint32_t, 4> credits_{};
   std::array<std::uint32_t, 4> returns_staged_{};
   std::array<std::uint32_t, 4> leak_debt_{};
-  /// Per-output shard-boundary staging vector (nullptr = direct delivery).
-  std::array<std::vector<BoundaryFlit>*, kNumPorts> boundary_out_{};
 
   /// Wormhole state: which input currently owns each output (-1 = free).
   std::array<int, kNumPorts> output_owner_;
+  /// The reverse map as output bits: owned_[i] is the bit of the output
+  /// input i holds (0 = none) — the output its body flits want.  Only a
+  /// body flit's input owns an output, and that output is never free, so
+  /// a free output is wanted by head flits alone.
+  std::array<std::uint8_t, kNumPorts> owned_{};
   /// Round-robin arbitration pointer per output.
   std::array<int, kNumPorts> rr_;
 

@@ -10,7 +10,6 @@ const char* mode_name(SimMode mode) {
   switch (mode) {
     case SimMode::kStrictTick: return "dense";
     case SimMode::kEventDriven: return "event";
-    case SimMode::kParallelShards: return "parallel";
   }
   return "?";
 }
@@ -207,17 +206,13 @@ void check_single_run(const Scenario& s, const RunResult& r,
 }
 
 std::vector<Violation> check_scenario(const Scenario& s, RunResult* dense_out,
-                                      RunResult* event_out,
-                                      RunResult* parallel_out) {
+                                      RunResult* event_out) {
   std::vector<Violation> violations;
   RunResult dense = run_scenario(s, SimMode::kStrictTick);
   RunResult event = run_scenario(s, SimMode::kEventDriven);
-  RunResult parallel = run_scenario(s, SimMode::kParallelShards);
   check_differential(dense, event, &violations);
-  check_differential(dense, parallel, &violations);
   check_single_run(s, dense, &violations);
   check_single_run(s, event, &violations);
-  check_single_run(s, parallel, &violations);
   // Cache differential: the flow cache must be semantically invisible.
   // One extra event-kernel leg with the cache forced off, compared modulo
   // the cache's own rmt.cache.* telemetry.
@@ -230,7 +225,6 @@ std::vector<Violation> check_scenario(const Scenario& s, RunResult* dense_out,
   }
   if (dense_out != nullptr) *dense_out = std::move(dense);
   if (event_out != nullptr) *event_out = std::move(event);
-  if (parallel_out != nullptr) *parallel_out = std::move(parallel);
   return violations;
 }
 

@@ -6,15 +6,15 @@
 namespace panic::rmt {
 
 namespace {
-std::atomic<std::uint64_t> g_table_epoch{0};
+std::uint64_t g_table_epoch = 0;
 }  // namespace
 
 std::uint64_t table_mutation_epoch() {
-  return g_table_epoch.load(std::memory_order_relaxed);
+  return g_table_epoch;
 }
 
 void bump_table_mutation_epoch() {
-  g_table_epoch.fetch_add(1, std::memory_order_relaxed);
+  ++g_table_epoch;
 }
 
 MatchTable::MatchTable(std::string name, MatchKind kind,
@@ -114,7 +114,7 @@ const Action* MatchTable::lookup(const Phv& phv, bool* matched) const {
     case MatchKind::kExact: {
       const auto it = exact_index_.find(exact_hash(key));
       if (it != exact_index_.end() && entries_[it->second].key == key) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        ++hits_;
         return &entries_[it->second].action;
       }
       break;
@@ -122,7 +122,7 @@ const Action* MatchTable::lookup(const Phv& phv, bool* matched) const {
     case MatchKind::kLpm: {
       for (const TableEntry& e : entries_) {
         if ((key[0] & e.masks[0]) == e.key[0]) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
+          ++hits_;
           return &e.action;
         }
       }
@@ -139,7 +139,7 @@ const Action* MatchTable::lookup(const Phv& phv, bool* matched) const {
           }
         }
         if (match) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
+          ++hits_;
           return &e.action;
         }
       }
@@ -147,7 +147,7 @@ const Action* MatchTable::lookup(const Phv& phv, bool* matched) const {
     }
   }
   if (matched != nullptr) *matched = false;
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++misses_;
   return default_action_ ? &*default_action_ : nullptr;
 }
 

@@ -120,8 +120,7 @@ void append_u64(std::string& out, std::uint64_t v) {
 ScenarioRun::ScenarioRun(const Scenario& s, const RunOptions& opts)
     : scenario_(s),
       opts_(opts),
-      sim_(Frequency::megahertz(s.freq_mhz), opts.mode,
-           opts.mode == SimMode::kParallelShards ? opts.threads : 0) {
+      sim_(Frequency::megahertz(s.freq_mhz), opts.mode) {
   if (!scenario_.feasible()) {
     throw std::runtime_error("scenario '" + scenario_.name +
                              "' is not feasible (topology/ports/queues)");
@@ -217,7 +216,6 @@ Outcome ScenarioRun::outcome() const {
   o.flits_routed =
       static_cast<std::uint64_t>(o.snapshot.value("noc.flits_routed"));
   o.rmt_passes = nic_->total_rmt_passes();
-  o.shard_layout = nic_->shard_layout();
   return o;
 }
 
@@ -278,8 +276,7 @@ std::string ScenarioRun::result_json() const {
   // CI equivalence gate can `grep -v '"runner"'` before diffing.
   j += "\n  },\n";
   j += "  \"runner\": {\"mode\": \"" + std::string(to_string(sim_.mode())) +
-       "\", \"threads\": " + std::to_string(sim_.num_shards()) +
-       ", \"shard_layout\": \"" + o.shard_layout + "\"}\n";
+       "\"}\n";
   j += "}\n";
   return j;
 }

@@ -1,5 +1,5 @@
-// Base class for everything that advances with the NIC clock: routers,
-// engines, RMT stages, traffic generators.
+// Base class for everything that advances with the NIC clock: the NoC
+// (noc::Mesh), engines, RMT stages, traffic generators.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +33,8 @@ class Simulator;
 ///     injection time);
 ///   * `kNeverWake` — fully quiescent: tick again only when woken.
 ///
-/// Anything that hands a quiescent component work — a NoC link delivering
-/// a flit, a queue enqueue, a DMA completion, a scheduled injection — must
+/// Anything that hands a quiescent component work — an NI delivering a
+/// message, a queue enqueue, a DMA completion, a scheduled injection — must
 /// wake it through `request_wake`.  A correct implementation is therefore
 /// conservative: when in doubt, return `now + 1`; a tick that finds nothing
 /// to do must be an observable no-op, so spurious wake-ups are always safe,
@@ -69,11 +69,10 @@ class Component {
   void request_wake(Cycle at);
 
   /// True while this component is in the kernel's active set (it ticks
-  /// every cycle until it parks again).  Producers whose target's
-  /// next_wake re-discovers the handed-over work from the target's own
-  /// state — a router scanning its input FIFOs, an NI scanning its eject
-  /// queue — may elide request_wake on an awake target: the next tick (or
-  /// the parking poll) sees the work anyway.  Do NOT elide for targets
+  /// every cycle until it parks again).  A component whose next_wake
+  /// re-discovers handed-over work from its own state — noc::Mesh scanning
+  /// its busy sets — may elide request_wake while awake: the next tick (or
+  /// the parking poll) sees the work anyway.  Do NOT elide for components
   /// whose next_wake cannot see the hand-off (engines learn of arrivals
   /// only through the wake).  Always false in strict-tick mode and for
   /// unregistered components, where request_wake is a no-op anyway.

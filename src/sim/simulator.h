@@ -1,5 +1,4 @@
-// Event-driven simulation kernel with a dense-tick reference mode and a
-// sharded parallel mode.
+// Event-driven simulation kernel with a dense-tick reference mode.
 //
 // The kernel advances a single global clock (the paper analyses the NIC at
 // one core frequency, e.g. 500 MHz, §4.2).  Per executed cycle it first
@@ -7,7 +6,7 @@
 // scheduled for that cycle (DMA completions, timer expirations,
 // packet-injection times), then ticks components once.
 //
-// Three modes:
+// Two modes:
 //
 //   * kEventDriven (default) — only *active* components tick.  After each
 //     tick a component reports its next required cycle via
@@ -18,34 +17,20 @@
 //     bursty workloads cost no wall-clock time.
 //   * kStrictTick — every registered component ticks every cycle (the
 //     original dense kernel).  Wake bookkeeping is bypassed entirely.
-//   * kParallelShards — the event kernel, spatially partitioned: each
-//     component is assigned to a shard (Simulator::set_shard; by mesh
-//     coordinates in the PANIC composition) and per executed cycle every
-//     shard runs its slice of the tick loop on its own worker thread.
-//     Components with no shard ("serial" components — watchdogs, workload
-//     sources) tick on the coordinator after the parallel phase, matching
-//     their registration-order position.  Cross-shard interactions are
-//     conservative-synchronization exchanges at cycle boundaries: the NoC
-//     stages boundary flits and credit returns during the parallel phase
-//     and the kernel applies them between the barrier and the next cycle
-//     (the 1-cycle link latency is the lookahead window).  See DESIGN.md
-//     §"Sharded parallel kernel".
 //
-// All modes are cycle-identical: for every executed cycle the same events
+// Both modes are cycle-identical: for every executed cycle the same events
 // fire and the same non-no-op ticks run in the same registration order
 // (quiescent components' ticks are observable no-ops by contract), so
 // statistics and final cycle counts match exactly.  The equivalence is
 // pinned by tests/sim/kernel_equivalence_test.cpp and the panic_fuzz
-// three-way differential oracle.
+// differential oracle.  The whole NoC is one component (noc::Mesh), which
+// keeps its own busy sets and ticks every router and NI in dense mode.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "common/sim_mode.h"
@@ -57,19 +42,10 @@ namespace panic {
 
 class Simulator {
  public:
-  /// `threads` is only meaningful in kParallelShards mode: the number of
-  /// shards (== worker threads, the coordinator doubles as shard 0).
-  /// 0 resolves through sim_threads() (--threads/PANIC_THREADS), falling
-  /// back to min(hardware_concurrency, 8).  The count never changes
-  /// simulation results, only how the tick loop is partitioned.
   explicit Simulator(Frequency clock = Frequency::megahertz(500),
-                     SimMode mode = SimMode::kEventDriven, int threads = 0);
-  ~Simulator();
+                     SimMode mode = SimMode::kEventDriven);
 
   SimMode mode() const { return mode_; }
-
-  /// Shard count (>= 1) in kParallelShards mode, 0 otherwise.
-  int num_shards() const { return num_shards_; }
 
   /// The unified observability surface: every registered component's
   /// metrics plus the per-message tracer.  The kernel's own counters are
@@ -89,28 +65,12 @@ class Simulator {
   /// they sleep).
   void add(Component* c);
 
-  /// Assigns `c` to shard `shard` (in [0, num_shards())); -1 reverts to
-  /// serial.  Only meaningful in kParallelShards mode, and only before the
-  /// first step: the shard map is sealed when the clock starts.  Serial
-  /// components must occupy a registration-order suffix (checked at seal
-  /// time) so the coordinator can tick them after the parallel phase in
-  /// exactly their sequential position.
-  void set_shard(Component* c, int shard);
-
-  /// The shard `c` is assigned to, or -1 (serial / non-parallel mode).
-  int shard_of(const Component* c) const {
-    return slots_[c->slot_].shard;
-  }
-
   /// Schedules `fn` to run at the start of `cycle`.  Events at the same
   /// cycle run in scheduling order.  A `cycle` in the past (or equal to
   /// the current cycle once the event phase has passed) is deterministic
-  /// in all modes: the event fires at the start of the next executed
+  /// in both modes: the event fires at the start of the next executed
   /// cycle, and fast-forward never skips it — see
-  /// tests/sim/simulator_test.cpp (LateEvent*).  Safe to call from a shard
-  /// worker mid-tick: the request is staged per shard and merged in
-  /// registration order at the barrier, reproducing the sequential
-  /// scheduling order exactly.
+  /// tests/sim/simulator_test.cpp (LateEvent*).
   void schedule_at(Cycle cycle, std::function<void()> fn);
 
   /// Schedules `fn` to run `delay` cycles from now.
@@ -121,27 +81,8 @@ class Simulator {
   /// Activates `c` so it ticks at cycle `at` (clamped to the present; a
   /// component that already ticked this cycle is deferred to the next one,
   /// exactly when a dense tick would first observe the caller's effect).
-  /// No-op in strict-tick mode.  In parallel mode a shard worker may only
-  /// wake components of its own shard; cross-shard hand-offs go through
-  /// the staged boundary exchange instead.
+  /// No-op in strict-tick mode.
   void wake(Component* c, Cycle at);
-
-  /// Registers a hook that runs on the coordinator right after the
-  /// parallel phase barrier and before serial-suffix components tick —
-  /// where the NoC delivers staged boundary flits, so everything a serial
-  /// component (watchdog probes included) observes matches the sequential
-  /// kernels.  Never invoked outside kParallelShards mode.
-  void add_post_parallel_hook(std::function<void(Cycle)> fn) {
-    post_parallel_hooks_.push_back(std::move(fn));
-  }
-
-  /// Registers a hook that runs at the very end of every executed cycle,
-  /// after all ticks, in every mode — where the NoC applies staged credit
-  /// returns (credits freed by a pop become visible the next cycle, making
-  /// intra-cycle component order immaterial).
-  void add_end_of_cycle_hook(std::function<void(Cycle)> fn) {
-    end_of_cycle_hooks_.push_back(std::move(fn));
-  }
 
   Cycle now() const { return now_; }
   Frequency clock() const { return clock_; }
@@ -163,15 +104,14 @@ class Simulator {
 
   // --- Kernel counters (work accounting for benches and tests). ---
   std::uint64_t events_executed() const { return events_executed_; }
-  /// Total Component::tick invocations across the run (sums the per-shard
-  /// cells in parallel mode).
-  std::uint64_t component_ticks() const;
+  /// Total Component::tick invocations across the run.
+  std::uint64_t component_ticks() const { return ticks_; }
   /// Transitions of a component from quiescent to active.
-  std::uint64_t wakeups() const;
+  std::uint64_t wakeups() const { return wakeups_; }
   /// Cycles skipped without executing (empty active set, no due work).
   std::uint64_t fast_forwarded_cycles() const { return fast_forwarded_; }
   /// Number of currently active components.
-  std::size_t active_components() const;
+  std::size_t active_components() const { return active_count_; }
 
  private:
   struct Event {
@@ -189,23 +129,14 @@ class Simulator {
   struct Slot {
     Component* c = nullptr;
     bool active = false;
-    /// Owning shard (-1 = serial); only used in kParallelShards mode.
-    std::int16_t shard = -1;
-    /// Index in the owning context's active_bits: the slot index in the
-    /// serial context, the position in ShardState::slots once sealed.
-    std::uint32_t bit = 0;
     /// Earliest future wake-up already queued for this slot (dedups heap
     /// pushes; stale heap entries are ignored on pop).
     Cycle pending_wake = Component::kNeverWake;
     /// Earliest wake requested while the slot was ACTIVE.  Hot components
-    /// re-arming themselves (a router on every accepted flit) coalesce
-    /// here — two loads and a store — instead of churning the wake heap;
-    /// the value is folded into the post-tick sleep decision and cleared.
+    /// re-arming themselves (an engine on every arrival) coalesce here —
+    /// two loads and a store — instead of churning the wake heap; the
+    /// value is folded into the post-tick sleep decision and cleared.
     Cycle pending_request = Component::kNeverWake;
-    /// Consecutive ticks without sleeping; drives the hot-slot poll skip
-    /// in finish_tick.  A pure function of the slot's own tick history, so
-    /// it is identical across shard layouts.
-    std::uint32_t streak = 0;
   };
   struct Wake {
     Cycle cycle;
@@ -282,64 +213,10 @@ class Simulator {
       }
     }
 
-    /// Removes and returns every pending wake (seal-time re-homing).
-    std::vector<Wake> drain_all() {
-      std::vector<Wake> out;
-      out.reserve(size_);
-      for (auto& bucket : wheel_) {
-        out.insert(out.end(), bucket.begin(), bucket.end());
-        bucket.clear();
-      }
-      while (!far_.empty()) {
-        out.push_back(far_.top());
-        far_.pop();
-      }
-      size_ = 0;
-      return out;
-    }
-
    private:
     std::array<std::vector<Wake>, kWheelSpan> wheel_;
     std::priority_queue<Wake, std::vector<Wake>, WakeOrder> far_;
     std::size_t size_ = 0;
-  };
-
-  /// An event scheduled from inside a shard worker's tick.  Merged into
-  /// the global queue at the barrier, ordered by (scheduling slot, per-
-  /// slot sequence) — the order the sequential tick loop would have pushed
-  /// them in.
-  struct StagedEvent {
-    std::uint32_t slot;
-    std::uint64_t seq;
-    Cycle cycle;
-    std::function<void()> fn;
-  };
-
-  /// The tick state one thread owns: the serial context (every slot
-  /// before the shard map seals, the serial suffix after) and one per
-  /// shard.  Only the owning thread touches it during a tick phase.
-  struct TickContext {
-    WakeQueue wake_queue;
-    /// Active set as a bitmap over this context's slots (bit i == the
-    /// context's i-th slot, see Slot::bit).  Invariant: a bit is set iff
-    /// that slot's Slot::active is true — every flip goes through
-    /// mark_active / mark_parked.  The tick loop visits set bits only, so
-    /// a cycle costs O(active + slots/64), not O(slots).
-    std::vector<std::uint64_t> active_bits;
-    std::size_t active_count = 0;
-    std::uint64_t ticks = 0;    ///< kernel.component_ticks cell
-    std::uint64_t wakeups = 0;  ///< kernel.wakeups cell
-  };
-
-  /// Per-shard kernel state.  Heap-allocated once in the constructor so
-  /// the telemetry cells have stable addresses; only the owning worker
-  /// touches the hot fields during the parallel phase.
-  struct ShardState : TickContext {
-    int index = 0;
-    std::vector<std::uint32_t> slots;  ///< this shard's slots, ascending
-    std::uint32_t current_slot = 0;  ///< valid during the parallel phase
-    std::vector<StagedEvent> staged_events;
-    std::uint64_t staged_seq = 0;
   };
 
   enum class Phase : std::uint8_t { kIdle, kEvents, kTick };
@@ -348,54 +225,28 @@ class Simulator {
   /// parking it when its next wake is at most this many cycles away; see
   /// the comment in finish_tick for the cost model.
   static constexpr Cycles kLingerWindow = 8;
-  /// After this many consecutive ticks a slot counts as hot and its
-  /// next_wake poll runs only every kHotStreak-th tick (power of two).
-  static constexpr std::uint32_t kHotStreak = 16;
-
-  /// The context owning `s`'s bookkeeping: its shard once sealed, else
-  /// the serial context.
-  TickContext& context_of(const Slot& s) {
-    if (sealed_ && s.shard >= 0) return *shards_[s.shard];
-    return serial_;
-  }
 
   /// The only places Slot::active flips; they keep the bitmap, the
   /// active count and Component::awake_ in step.
-  static void mark_active(TickContext& ctx, Slot& s);
-  static void mark_parked(TickContext& ctx, Slot& s);
+  void mark_active(std::uint32_t slot);
+  void mark_parked(std::uint32_t slot);
 
-  void wake_slot(std::uint32_t slot, Cycle at);
-  void activate(std::uint32_t slot);
-  void push_wake(WakeQueue& q, std::uint32_t slot, Cycle cycle);
-  void drain_due_wakes(TickContext& ctx);
+  void push_wake(std::uint32_t slot, Cycle cycle);
+  void drain_due_wakes();
   /// Earliest cycle with pending work (event or wake-up); kNeverWake if none.
   Cycle next_scheduled_cycle() const;
   bool can_fast_forward() const {
-    return mode_ != SimMode::kStrictTick && active_components() == 0;
+    return mode_ != SimMode::kStrictTick && active_count_ == 0;
   }
   /// Jumps the clock to the next pending work, capped at `limit`.
   void fast_forward_to(Cycle limit);
 
   void run_events_phase();
-  void run_end_of_cycle();
-  /// Post-tick sleep decision shared by all event-driven tick loops: folds
-  /// coalesced wake requests into the component's own next_wake answer.
-  void finish_tick(std::uint32_t slot, Cycle now, TickContext& ctx);
-  /// The event-driven tick loop over one context: ticks its active slots
-  /// in ascending order, starting at bitmap word `first_word`.
-  /// `slot_of` maps a bit index to its slot; `cursor` tracks the slot
-  /// ticking (the same-cycle wake rule reads it).
-  template <typename SlotOf>
-  void tick_active(TickContext& ctx, std::size_t first_word,
-                   std::uint32_t& cursor, SlotOf slot_of);
-
-  // --- Parallel-mode machinery. ---
-  void seal_shards();
-  void step_parallel();
-  void run_shard_phase(ShardState& ss);
-  void merge_staged_events();
-  void worker_main(int shard_index);
-  void stop_workers();
+  /// Post-tick sleep decision: folds coalesced wake requests into the
+  /// component's own next_wake answer.
+  void finish_tick(std::uint32_t slot, Cycle now);
+  /// The event-driven tick loop: ticks active slots in ascending order.
+  void tick_active();
 
   Frequency clock_;
   SimMode mode_;
@@ -404,38 +255,22 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
   std::uint64_t fast_forwarded_ = 0;
+  std::uint64_t ticks_ = 0;    ///< kernel.component_ticks
+  std::uint64_t wakeups_ = 0;  ///< kernel.wakeups
 
-  std::vector<Component*> components_;  // registration order (slot order)
-  std::vector<Slot> slots_;
-  /// Serial slots' wake queue, active bitmap and counters.  The bitmap
-  /// keeps the strict-mode tick order (ascending slots) without a
-  /// node-based set, so wake/sleep churn stays allocation-free.
-  TickContext serial_;
+  std::vector<Slot> slots_;  // registration order
+  WakeQueue wake_queue_;
+  /// Active set as a bitmap over slots.  Invariant: bit i is set iff
+  /// slots_[i].active — every flip goes through mark_active /
+  /// mark_parked.  The tick loop visits set bits only, so a cycle costs
+  /// O(active + slots/64), not O(slots), and keeps the strict-mode tick
+  /// order (ascending slots) without a node-based set.
+  std::vector<std::uint64_t> active_bits_;
+  std::size_t active_count_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventOrder> events_;
-
-  std::vector<std::function<void(Cycle)>> post_parallel_hooks_;
-  std::vector<std::function<void(Cycle)>> end_of_cycle_hooks_;
 
   Phase phase_ = Phase::kIdle;
   std::uint32_t current_slot_ = 0;  ///< valid only during Phase::kTick
-
-  // --- kParallelShards state. ---
-  int num_shards_ = 0;
-  bool sealed_ = false;
-  bool any_sharded_ = false;  ///< false => degenerate sequential execution
-  /// First slot ticked by the coordinator after the parallel phase (==
-  /// slots_.size() when every slot is sharded).  Sharded slots occupy
-  /// [0, first_serial_slot_), serial slots the rest.
-  std::uint32_t first_serial_slot_ = 0;
-  std::vector<std::unique_ptr<ShardState>> shards_;
-  std::vector<std::thread> workers_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<int> workers_done_{0};
-  std::atomic<bool> stopping_{false};
-
-  /// The shard context of the calling thread during the parallel phase
-  /// (nullptr on the coordinator outside it, and always in serial modes).
-  static thread_local ShardState* tls_shard_;
 };
 
 }  // namespace panic

@@ -214,9 +214,9 @@ bool MetricsRegistry::claim_cell(const std::uint64_t* cell,
   if (!inserted) {
     PANIC_WARN("telemetry",
                "counter cell of '%s' already published as '%s' — a cell "
-               "must have exactly one writer (shard)",
+               "belongs to exactly one metric",
                name.c_str(), it->second.c_str());
-    assert(false && "counter cell published twice (two-shard writer?)");
+    assert(false && "counter cell published twice");
     return false;
   }
   return true;

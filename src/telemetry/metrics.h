@@ -133,14 +133,10 @@ class MetricsRegistry {
   bool expose_counter(const std::string& name, std::uint64_t* cell);
 
   /// Publishes one counter backed by several externally-owned cells,
-  /// summed at snapshot time (and each zeroed by reset()).  This is the
-  /// sharded-publication contract of the parallel kernel: every cell has
-  /// exactly ONE writer — a shard thread or the coordinator — so the hot
-  /// path stays a plain `++cell` with no shared atomics; the registry only
-  /// reads the cells at snapshot/reset time, when the workers are parked
-  /// at the cycle barrier.  Registering the same cell address under two
-  /// metrics (which would mean two shards publish — and therefore write —
-  /// one cell) is rejected and asserts in debug builds.
+  /// summed at snapshot time (and each zeroed by reset()).  Every cell
+  /// belongs to exactly one metric: registering the same cell address
+  /// under two metrics would count its increments twice, so it is
+  /// rejected and asserts in debug builds.
   bool expose_counter_sum(const std::string& name,
                           std::vector<std::uint64_t*> cells);
 
@@ -168,7 +164,7 @@ class MetricsRegistry {
     std::string name;
     MetricKind kind;
     std::uint64_t* cell = nullptr;        // kCounter, single cell
-    std::vector<std::uint64_t*> cells;    // kCounter, per-shard cells (sum)
+    std::vector<std::uint64_t*> cells;    // kCounter, summed cells
     std::function<double()> gauge;        // kGauge
     Histogram* hist = nullptr;            // kHistogram
   };

@@ -29,6 +29,33 @@ TEST(HostMemory, PartialOverwrite) {
   EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 1, 9, 1}));
 }
 
+TEST(HostMemory, UnalignedWriteAcrossPageBoundaryKeepsFillAround) {
+  // 203 bytes from 3 bytes short of a 64-byte word, crossing the 4 KiB
+  // page boundary at 0x2000 mid-word: the written-bitmap must cover
+  // exactly the written bytes, in both pages.
+  HostMemory mem;
+  const HostMemory fresh;
+  constexpr std::uint64_t kAddr = 0x1F3D;
+  std::vector<std::uint8_t> data(203);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(0xA0 ^ i);
+  }
+  mem.write(kAddr, data);
+
+  constexpr std::uint64_t kFrom = 0x1E00;
+  constexpr std::uint32_t kLen = 0x400;
+  const auto got = mem.read(kFrom, kLen);
+  const auto fill = fresh.read(kFrom, kLen);
+  for (std::uint64_t a = kFrom; a < kFrom + kLen; ++a) {
+    const std::size_t i = a - kFrom;
+    if (a >= kAddr && a < kAddr + data.size()) {
+      EXPECT_EQ(got[i], data[a - kAddr]) << std::hex << a;
+    } else {
+      EXPECT_EQ(got[i], fill[i]) << std::hex << a;
+    }
+  }
+}
+
 TEST(HostMemory, AllocatorAlignsAndAdvances) {
   HostMemory mem;
   const auto a = mem.allocate(10);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -188,17 +189,17 @@ TEST(Mesh, ThroughputScalesWithMeshSize) {
 }
 
 /// Ticks every cycle, so the kernel executes (never fast-forwards) every
-/// cycle and runs the end-of-cycle hooks each time.
+/// cycle.
 class Clock : public Component {
  public:
   Clock() : Component("clock") {}
   void tick(Cycle) override {}
 };
 
-// An idle mesh costs nothing per cycle: its routers and NIs park after
-// their first tick, and the credit flush has nothing logged to fold —
-// both when the kernel fast-forwards and when something else keeps every
-// cycle executing.
+// An idle mesh costs nothing per cycle: the Mesh parks after its first
+// tick (no NI or router is busy), so it is never ticked and the credit
+// flush never runs — both when the kernel fast-forwards and when
+// something else keeps every cycle executing.
 TEST(Mesh, IdleMeshDoesNoPerCycleWork) {
   for (const bool clocked : {false, true}) {
     Simulator sim(Frequency::megahertz(500), SimMode::kEventDriven);
@@ -207,7 +208,7 @@ TEST(Mesh, IdleMeshDoesNoPerCycleWork) {
     Mesh mesh(cfg, sim);
     Clock clock;
     if (clocked) sim.add(&clock);
-    sim.run(10);  // settle: every router and NI ticks once, then parks
+    sim.run(10);  // settle: the Mesh ticks once, then parks
 
     constexpr Cycles kCycles = 100000;
     const std::uint64_t ticks0 = sim.component_ticks();
@@ -222,6 +223,152 @@ TEST(Mesh, IdleMeshDoesNoPerCycleWork) {
     EXPECT_EQ(mesh.credit_flushes(), 0u) << "clocked=" << clocked;
     EXPECT_EQ(sim.snapshot().counter("noc.credit_flushes"), 0u);
   }
+}
+
+/// Cross traffic on a k x k mesh: every `period` cycles each tile injects
+/// one message to the tile mirrored through the mesh centre (so flows
+/// cross in the middle), and every tile drains its NI each cycle.
+/// Always active, so it acts on the same cycles in both kernels.
+class CrossTraffic : public Component {
+ public:
+  CrossTraffic(Mesh& mesh, Cycles period, std::size_t bytes)
+      : Component("cross"), mesh_(mesh), period_(period), bytes_(bytes) {}
+  void tick(Cycle now) override {
+    const int tiles = mesh_.tiles();
+    for (int t = 0; t < tiles; ++t) {
+      NetworkInterface& ni = mesh_.ni(EngineId{static_cast<std::uint16_t>(t)});
+      if (now % period_ == 0 && ni.can_inject()) {
+        auto msg = make_message();
+        msg->data.resize(bytes_ + static_cast<std::size_t>(t) * 8);
+        ni.inject(std::move(msg),
+                  EngineId{static_cast<std::uint16_t>(tiles - 1 - t)}, now);
+      }
+      while (auto msg = ni.try_receive(now)) {
+        msg->set_fate(MessageFate::kConsumed);
+      }
+    }
+  }
+
+ private:
+  Mesh& mesh_;
+  Cycles period_;
+  std::size_t bytes_;
+};
+
+/// Per-router and per-NI counters after faulted cross traffic.
+std::vector<std::uint64_t> faulted_cross_traffic_counters(SimMode mode) {
+  Simulator sim(Frequency::megahertz(500), mode);
+  MeshConfig cfg;
+  cfg.k = 4;
+  cfg.channel_bits = 64;
+  Mesh mesh(cfg, sim);
+  CrossTraffic traffic(mesh, 40, 64);
+  sim.add(&traffic);
+  // Flaky links on the centre routers' inputs (every port), and a credit
+  // leak on two mesh inputs mid-run: flits sit in FIFOs behind delayed
+  // heads and upstream outputs stall on missing credits.
+  mesh.router(mesh.tile_id(1, 1)).fault_link(-1, 0.3, 17, 30000, 11);
+  mesh.router(mesh.tile_id(2, 2)).fault_link(-1, 0.5, 5, 30000, 12);
+  mesh.router(mesh.tile_id(2, 1)).fault_link(
+      static_cast<int>(Direction::kWest), 0.2, 60, 20000, 13);
+  sim.schedule_at(5000, [&] {
+    mesh.router(mesh.tile_id(1, 2))
+        .fault_leak_credits(static_cast<int>(Direction::kNorth), 3);
+    mesh.router(mesh.tile_id(2, 1))
+        .fault_leak_credits(static_cast<int>(Direction::kEast), 2);
+  });
+  sim.run(40000);
+
+  std::vector<std::uint64_t> counters;
+  for (int t = 0; t < mesh.tiles(); ++t) {
+    const EngineId tile{static_cast<std::uint16_t>(t)};
+    const Router& r = mesh.router(tile);
+    counters.insert(counters.end(), {r.flits_routed(), r.stall_cycles(),
+                                     r.flits_delayed()});
+    const NetworkInterface& ni = mesh.ni(tile);
+    counters.insert(counters.end(), {ni.messages_sent(),
+                                     ni.messages_received(), ni.flits_sent()});
+  }
+  counters.push_back(mesh.credit_flushes());
+  return counters;
+}
+
+// The busy sets must never skip a router or NI with work: under flaky
+// delays (heads that become routable later than their arrival) and
+// leaked credits (heads that stall on a full downstream), the event
+// kernel's Mesh — ticking only busy elements, parking when none is due —
+// must reproduce the dense kernel, which ticks every router and NI every
+// cycle, counter for counter.
+TEST(Mesh, FaultedCrossTrafficIsIdenticalDenseVsEvent) {
+  const auto dense = faulted_cross_traffic_counters(SimMode::kStrictTick);
+  const auto event = faulted_cross_traffic_counters(SimMode::kEventDriven);
+  EXPECT_EQ(dense, event);
+
+  // The faults bit: flits were delayed and heads stalled somewhere.
+  std::uint64_t delayed = 0, stalls = 0, received = 0;
+  for (std::size_t t = 0; t < 16; ++t) {
+    stalls += dense[t * 6 + 1];
+    delayed += dense[t * 6 + 2];
+    received += dense[t * 6 + 4];
+  }
+  EXPECT_GT(delayed, 100u);
+  EXPECT_GT(stalls, 100u);
+  EXPECT_GT(received, 1000u);
+}
+
+struct DelayedRun {
+  Cycle delivered_at = 0;
+  std::uint64_t fast_forwarded = 0;
+  std::uint64_t stall_cycles = 0;
+};
+
+/// One message from tile (0,0) to (2,0) across a link into (1,0) that
+/// delays every flit by 500 cycles.  With `bytes` of payload on
+/// `channel_bits` links it is a few flits (only delayed flits in flight)
+/// or enough to fill the delayed input, so (0,0)'s head stalls on credits
+/// behind it.
+DelayedRun delayed_delivery(SimMode mode, std::uint32_t channel_bits,
+                            std::size_t bytes) {
+  Simulator sim(Frequency::megahertz(500), mode);
+  MeshConfig cfg;
+  cfg.k = 3;
+  cfg.channel_bits = channel_bits;
+  Mesh mesh(cfg, sim);
+  const EngineId src = mesh.tile_id(0, 0);
+  const EngineId dst = mesh.tile_id(2, 0);
+  mesh.router(mesh.tile_id(1, 0))
+      .fault_link(static_cast<int>(Direction::kWest), 1.0, 500, 1000000, 5);
+  mesh.ni(src).inject(packet_of_size(bytes), dst, sim.now());
+  const bool done = sim.run_until(
+      [&] { return mesh.ni(dst).messages_received() == 1; }, 5000);
+  EXPECT_TRUE(done);
+  return {sim.now(), sim.fast_forwarded_cycles(),
+          mesh.router(src).stall_cycles()};
+}
+
+// With only delayed flits in flight, nothing in the mesh is due before
+// their ready cycle: the Mesh reports that cycle as its next wake, the
+// event kernel fast-forwards to it, and the message lands on the same
+// cycle as under the dense kernel.  When the delayed input is full
+// instead, the upstream head stalls on credits: a stalled head is due
+// every cycle, so the event kernel keeps ticking and counts every stall
+// cycle the dense kernel counts.
+TEST(Mesh, DelayedFlitsOnlyFastForwardToTheirReadyCycle) {
+  const DelayedRun dense = delayed_delivery(SimMode::kStrictTick, 512, 64);
+  const DelayedRun event = delayed_delivery(SimMode::kEventDriven, 512, 64);
+  EXPECT_EQ(dense.delivered_at, event.delivered_at);
+  EXPECT_GT(dense.delivered_at, 500u);
+  EXPECT_EQ(dense.fast_forwarded, 0u);
+  EXPECT_GT(event.fast_forwarded, 450u);
+  EXPECT_EQ(event.stall_cycles, 0u);
+
+  const DelayedRun dense_stall =
+      delayed_delivery(SimMode::kStrictTick, 64, 256);
+  const DelayedRun event_stall =
+      delayed_delivery(SimMode::kEventDriven, 64, 256);
+  EXPECT_EQ(dense_stall.delivered_at, event_stall.delivered_at);
+  EXPECT_GT(dense_stall.stall_cycles, 400u);
+  EXPECT_EQ(dense_stall.stall_cycles, event_stall.stall_cycles);
 }
 
 // A credit leak larger than what the upstream holds becomes debt.  The

@@ -2,6 +2,11 @@
 // and generator determinism/feasibility across a seed sweep.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "proptest/generator.h"
 #include "proptest/scenario.h"
 
@@ -83,6 +88,31 @@ TEST(Scenario, ParseRejectsMalformedInput) {
       Scenario::parse("panicfuzz 1\nfault explode dma @5\nend\n", &error)
           .has_value());
   EXPECT_NE(error.find("fault plan"), std::string::npos);
+}
+
+// Every committed regression input is rejected with the exact line-numbered
+// reason its `# expect:` comment names.
+TEST(Scenario, RegressionInputsAreRejectedWithLineNumbers) {
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(PANIC_FUZZ_REGRESSIONS_DIR)) {
+    SCOPED_TRACE(entry.path().string());
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string body = text.str();
+    const std::string tag = "# expect: ";
+    const auto at = body.find(tag);
+    ASSERT_NE(at, std::string::npos);
+    const auto eol = body.find('\n', at);
+    const std::string expected =
+        body.substr(at + tag.size(), eol - at - tag.size());
+    std::string error;
+    EXPECT_FALSE(Scenario::parse(body, &error).has_value());
+    EXPECT_EQ(error, expected);
+    ++files;
+  }
+  EXPECT_GE(files, 2);
 }
 
 TEST(Scenario, ParseAcceptsCommentsAndBlankLines) {

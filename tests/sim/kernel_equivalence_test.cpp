@@ -1,9 +1,9 @@
-// Pins the central claim of the simulation kernels: kStrictTick,
-// kEventDriven and kParallelShards are cycle-identical.  A full PANIC NIC
-// under a bursty multi-tenant workload (the §3.1.3 isolation scenario) must
-// produce the same statistics, to the cycle, in all three modes — while the
-// event kernel executes far fewer component ticks and the parallel kernel
-// splits the mesh across shards.  The same holds under an active FaultPlan.
+// Pins the central claim of the simulation kernels: kStrictTick and
+// kEventDriven are cycle-identical.  A full PANIC NIC under a bursty
+// multi-tenant workload (the §3.1.3 isolation scenario) must produce the
+// same statistics, to the cycle, in both modes — while the event kernel
+// executes far fewer component ticks.  The same holds under an active
+// FaultPlan.
 // Plus targeted tests for the wake protocol itself: wake-on-enqueue,
 // sleep-with-deadline, empty-active-set fast-forward, late-event
 // determinism, the slot-ordering rule, and mid-scan wakes that cross the
@@ -40,9 +40,8 @@ struct ScenarioResult {
   std::uint64_t t2_count = 0, t2_p50 = 0, t2_p99 = 0, t2_max = 0;
 };
 
-ScenarioResult run_isolation_scenario(SimMode mode, Cycles cycles,
-                                      int threads = 0) {
-  Simulator sim(Frequency::megahertz(500), mode, threads);
+ScenarioResult run_isolation_scenario(SimMode mode, Cycles cycles) {
+  Simulator sim(Frequency::megahertz(500), mode);
   core::PanicConfig config;
   config.mesh.k = 4;
   config.sched_policy = engines::SchedPolicy::kSlackPriority;
@@ -137,61 +136,6 @@ TEST(KernelEquivalence, MultiTenantIsolationIsCycleIdentical) {
   EXPECT_LT(event.ticks, dense.ticks);
 }
 
-TEST(KernelEquivalence, ParallelShardsMatchesDenseOnIsolationScenario) {
-  constexpr Cycles kCycles = 100000;
-  const ScenarioResult dense =
-      run_isolation_scenario(SimMode::kStrictTick, kCycles);
-  // Three threads do not divide the 16-tile mesh evenly, so this also
-  // covers uneven tile bands.
-  const ScenarioResult par =
-      run_isolation_scenario(SimMode::kParallelShards, kCycles, /*threads=*/3);
-
-  EXPECT_EQ(dense.final_cycle, par.final_cycle);
-  EXPECT_EQ(dense.events, par.events);
-  EXPECT_EQ(dense.bulk_generated, par.bulk_generated);
-  EXPECT_EQ(dense.inter_generated, par.inter_generated);
-  EXPECT_EQ(dense.delivered, par.delivered);
-  EXPECT_EQ(dense.flits_routed, par.flits_routed);
-  EXPECT_EQ(dense.rmt_passes, par.rmt_passes);
-  EXPECT_EQ(dense.dma_queue_drops, par.dma_queue_drops);
-  EXPECT_EQ(dense.dma_queue_max_depth, par.dma_queue_max_depth);
-  EXPECT_EQ(dense.t1_count, par.t1_count);
-  EXPECT_EQ(dense.t1_p50, par.t1_p50);
-  EXPECT_EQ(dense.t1_p99, par.t1_p99);
-  EXPECT_EQ(dense.t1_max, par.t1_max);
-  EXPECT_EQ(dense.t2_count, par.t2_count);
-  EXPECT_EQ(dense.t2_p50, par.t2_p50);
-  EXPECT_EQ(dense.t2_p99, par.t2_p99);
-  EXPECT_EQ(dense.t2_max, par.t2_max);
-  EXPECT_GT(par.delivered, 0u);
-  // The parallel kernel keeps the event kernel's quiescence machinery, so
-  // it too does less tick work than dense.
-  EXPECT_LT(par.ticks, dense.ticks);
-}
-
-TEST(KernelEquivalence, ParallelShardsLayoutIndependent) {
-  // The shard layout must be unobservable: 1, 2 and 4 threads (and the
-  // sequential event kernel) all produce the same statistics.
-  constexpr Cycles kCycles = 60000;
-  const ScenarioResult ref =
-      run_isolation_scenario(SimMode::kEventDriven, kCycles);
-  for (const int threads : {1, 2, 4}) {
-    const ScenarioResult par =
-        run_isolation_scenario(SimMode::kParallelShards, kCycles, threads);
-    EXPECT_EQ(ref.final_cycle, par.final_cycle) << "threads=" << threads;
-    EXPECT_EQ(ref.events, par.events) << "threads=" << threads;
-    EXPECT_EQ(ref.delivered, par.delivered) << "threads=" << threads;
-    EXPECT_EQ(ref.flits_routed, par.flits_routed) << "threads=" << threads;
-    EXPECT_EQ(ref.rmt_passes, par.rmt_passes) << "threads=" << threads;
-    EXPECT_EQ(ref.dma_queue_drops, par.dma_queue_drops)
-        << "threads=" << threads;
-    EXPECT_EQ(ref.t1_count, par.t1_count) << "threads=" << threads;
-    EXPECT_EQ(ref.t1_p99, par.t1_p99) << "threads=" << threads;
-    EXPECT_EQ(ref.t2_count, par.t2_count) << "threads=" << threads;
-    EXPECT_EQ(ref.t2_p99, par.t2_p99) << "threads=" << threads;
-  }
-}
-
 // --- Equivalence under an active FaultPlan.  Faults are scheduled through
 // the same event queue as everything else, and their randomness comes from
 // plan-seeded streams — so a faulty run must stay cycle-identical across
@@ -219,10 +163,9 @@ struct FaultScenarioResult {
   bool conserved = false;
 };
 
-FaultScenarioResult run_fault_scenario(SimMode mode, Cycles cycles,
-                                       int threads = 0) {
+FaultScenarioResult run_fault_scenario(SimMode mode, Cycles cycles) {
   fault::ConservationChecker conservation;
-  Simulator sim(Frequency::megahertz(500), mode, threads);
+  Simulator sim(Frequency::megahertz(500), mode);
 
   core::PanicConfig cfg;
   cfg.mesh.k = 5;
@@ -331,37 +274,6 @@ TEST(KernelEquivalence, ActiveFaultPlanIsCycleIdentical) {
   EXPECT_TRUE(event.conserved);
   // ...and the event kernel still did less work under faults.
   EXPECT_LT(event.ticks, dense.ticks);
-}
-
-TEST(KernelEquivalence, ActiveFaultPlanIsCycleIdenticalUnderParallelShards) {
-  // Faults fire cycle-exactly under the sharded kernel: injector events run
-  // in the serial event phase before the fork, and the fault Rng streams
-  // are plan-seeded, so a faulty parallel run matches dense to the cycle.
-  constexpr Cycles kCycles = 60000;
-  const FaultScenarioResult dense =
-      run_fault_scenario(SimMode::kStrictTick, kCycles);
-  const FaultScenarioResult par =
-      run_fault_scenario(SimMode::kParallelShards, kCycles, /*threads=*/3);
-
-  EXPECT_EQ(dense.final_cycle, par.final_cycle);
-  EXPECT_EQ(dense.events, par.events);
-  EXPECT_EQ(dense.aux_generated, par.aux_generated);
-  EXPECT_EQ(dense.plain_generated, par.plain_generated);
-  EXPECT_EQ(dense.delivered, par.delivered);
-  EXPECT_EQ(dense.flits_routed, par.flits_routed);
-  EXPECT_EQ(dense.rmt_passes, par.rmt_passes);
-  EXPECT_EQ(dense.resteered, par.resteered);
-  EXPECT_EQ(dense.corrupted, par.corrupted);
-  EXPECT_EQ(dense.engine_faulted, par.engine_faulted);
-  EXPECT_EQ(dense.rmt_faulted, par.rmt_faulted);
-  EXPECT_EQ(dense.flits_delayed, par.flits_delayed);
-  EXPECT_EQ(dense.faults_injected, par.faults_injected);
-  EXPECT_EQ(dense.engines_dead, par.engines_dead);
-  EXPECT_EQ(dense.watchdog_checks, par.watchdog_checks);
-  EXPECT_EQ(dense.watchdog_flags, par.watchdog_flags);
-  EXPECT_EQ(dense.conservation_faulted, par.conservation_faulted);
-  EXPECT_EQ(par.faults_injected, 4u);
-  EXPECT_TRUE(par.conserved);
 }
 
 // --- Targeted wake-protocol tests. ---
@@ -499,6 +411,34 @@ TEST(KernelWake, SameCycleWakeRespectsTickOrder) {
   }
 }
 
+TEST(KernelWake, WakeCoalescingKeepsActiveComponentsCheap) {
+  // A flooder pushes two items per cycle into a sink that drains one, so
+  // the sink's queue never empties and it stays active for the whole run.
+  // Every request_wake it receives therefore hits an ACTIVE slot, and none
+  // may count as a quiescent->active transition or churn the wake heap.
+  class Flooder : public Component {
+   public:
+    explicit Flooder(Sink* sink) : Component("flooder"), sink_(sink) {}
+    void tick(Cycle now) override {
+      sink_->push(1, now);
+      sink_->push(2, now);
+    }
+
+   private:
+    Sink* sink_;
+  };
+  Simulator sim;
+  Sink sink;
+  Flooder flooder(&sink);
+  sim.add(&flooder);  // slot 0: pushes before the sink's tick each cycle
+  sim.add(&sink);     // slot 1: consumes, queue still non-empty -> active
+  sim.run(200);
+  EXPECT_EQ(sink.consumed.size(), 200u);
+  // Exactly the two initial activations; all 400 pushed-while-active wake
+  // requests coalesced into the slot instead of transitioning.
+  EXPECT_EQ(sim.wakeups(), 2u);
+}
+
 // --- Mid-scan wakes across 64-slot words of the active-slot bitmap. ---
 
 /// Acts on its own timers and on work pushed into it; every action logs
@@ -536,11 +476,10 @@ class Relay : public Component {
 };
 
 constexpr int kRelays = 140;
-constexpr int kFirstSerialRelay = 135;
 
 /// Per-relay action logs of the word-crossing script under `mode`.
-std::vector<std::vector<Cycle>> run_relays(SimMode mode, int threads = 0) {
-  Simulator sim(Frequency::megahertz(500), mode, threads);
+std::vector<std::vector<Cycle>> run_relays(SimMode mode) {
+  Simulator sim(Frequency::megahertz(500), mode);
   std::vector<std::unique_ptr<Relay>> r;
   for (int i = 0; i < kRelays; ++i) {
     r.push_back(std::make_unique<Relay>());
@@ -564,20 +503,9 @@ std::vector<std::vector<Cycle>> run_relays(SimMode mode, int threads = 0) {
   r[66]->busy_until = 50;
   r[131]->busy_until = 20;
   r[65]->timers = {10, 100};
-  // A serial-suffix relay waking a sharded slot (deferred to next cycle).
+  // A tail relay waking an earlier slot (deferred to the next cycle).
   r[138]->timers = {250};
   r[138]->fwd = {r[130].get()};
-
-  if (mode == SimMode::kParallelShards) {
-    // Every relay of the script shares shard 0, so its wakes stay
-    // in-shard; slots == 1 (mod 4) spread over the other shards, and the
-    // tail is serial.  Shard 0 holds ~100 slots, so its own bitmap spans
-    // two words with different positions than the slot indices.
-    for (int i = 0; i < kFirstSerialRelay; ++i) {
-      const int shard = (i % 4 == 1) ? 1 + (i / 4) % (threads - 1) : 0;
-      sim.set_shard(r[i].get(), shard);
-    }
-  }
   sim.run(400);
 
   std::vector<std::vector<Cycle>> logs;
@@ -589,10 +517,6 @@ TEST(KernelEquivalence, MidScanWakesCrossBitmapWords) {
   const auto dense = run_relays(SimMode::kStrictTick);
   const auto event = run_relays(SimMode::kEventDriven);
   EXPECT_EQ(dense, event);
-  for (const int threads : {2, 3}) {
-    EXPECT_EQ(dense, run_relays(SimMode::kParallelShards, threads))
-        << "threads=" << threads;
-  }
 
   // The script did what it claims (event == dense, so check one).
   EXPECT_EQ(event[10], (std::vector<Cycle>{5, 300}));

@@ -133,8 +133,7 @@ TEST(MetricsSnapshot, MergeAddsCountersAndCombinesHistograms) {
 }
 
 TEST(MetricsRegistry, CounterSumMergesCellsAtSnapshot) {
-  // The sharded-kernel publication contract: one cell per shard, each
-  // written by exactly one thread, summed only at snapshot time.
+  // One counter over several cells, summed only at snapshot time.
   MetricsRegistry m;
   std::uint64_t serial = 2, shard0 = 40, shard1 = 100;
   EXPECT_TRUE(m.expose_counter_sum("kernel.ticks", {&serial, &shard0, &shard1}));
@@ -152,9 +151,9 @@ TEST(MetricsRegistry, CounterSumMergesCellsAtSnapshot) {
 }
 
 TEST(MetricsRegistry, DuplicateCellPublicationIsRejected) {
-  // A cell published under two metrics would mean two shards write one
-  // counter; claim_cell refuses the second registration (and asserts in
-  // debug builds, so there the refusal is fatal).
+  // A cell published under two metrics would count its increments twice;
+  // claim_cell refuses the second registration (and asserts in debug
+  // builds, so there the refusal is fatal).
   MetricsRegistry m;
   std::uint64_t cell = 7;
   EXPECT_TRUE(m.expose_counter("first", &cell));
