@@ -17,8 +17,11 @@
 // rmt.cache.* — the cache is a host-time optimization, never a semantic
 // one.  The steady-state cache hit rate must be >= 90%, and the event
 // kernel's ticks and credit flushes per cycle must stay under per-scenario
-// ceilings; the bench exits nonzero if any gate fails.  Results go to stdout and, machine-readable,
-// to BENCH_hotpath.json.  `--smoke` shrinks the horizons for CI.
+// ceilings; the bench exits nonzero if any gate fails.  It also counts the
+// worms the event kernel's NoC sent express (noc/mesh.h) in the measured
+// window, and fails if the saturated scenario expresses none.  Results go
+// to stdout and, machine-readable, to BENCH_hotpath.json.  `--smoke`
+// shrinks the horizons for CI.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -66,6 +69,8 @@ struct RunResult {
   // Work counters over the measured window, per simulated cycle.
   double ticks_per_cycle = 0.0;
   double credit_flushes_per_cycle = 0.0;
+  // Worms sent express in the measured window (always 0 under dense).
+  std::uint64_t express_worms = 0;
   // Cross-check between modes.
   std::uint64_t delivered = 0;
   std::uint64_t flits = 0;
@@ -89,6 +94,7 @@ RunResult run_one(const scenario::Scenario& s, SimMode mode) {
   run.run_warmup();
 
   const auto before = run.sim().snapshot();
+  const std::uint64_t express_before = run.nic().mesh().express_worms();
   const auto pool_before = MessagePool::instance().stats();
   const auto start = std::chrono::steady_clock::now();
   run.run_measure();
@@ -109,6 +115,7 @@ RunResult run_one(const scenario::Scenario& s, SimMode mode) {
   };
   r.ticks_per_cycle = per_cycle("kernel.component_ticks");
   r.credit_flushes_per_cycle = per_cycle("noc.credit_flushes");
+  r.express_worms = run.nic().mesh().express_worms() - express_before;
   r.delivered = snap.counter("engine.dma.packets_to_host");
   r.flits = static_cast<std::uint64_t>(snap.value("noc.flits_routed"));
   r.generated =
@@ -249,6 +256,13 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Express worms carry the saturated leg's NoC; none would mean the
+    // trigger broke and the event kernel fell back to moving every flit.
+    if (sc.name == "hotpath_saturated" && event.express_worms == 0) {
+      std::fprintf(stderr, "FAIL %s: no worm went express\n", name);
+      ok = false;
+    }
+
     // ns/cycle is machine-dependent, so the kernels are only compared
     // within this run; the pool-miss, hit-rate and cache-identity checks
     // are the machine-independent acceptance gates.
@@ -267,8 +281,9 @@ int main(int argc, char** argv) {
                 "  (event/dense %.3f)\n",
                 event.wall_ms, event.ns_per_cycle, event.ticks_per_cycle,
                 event_vs_dense);
-    std::printf("  noc:    %.3f credit flushes/cycle\n",
-                event.credit_flushes_per_cycle);
+    std::printf("  noc:    %.3f credit flushes/cycle, %llu express worms\n",
+                event.credit_flushes_per_cycle,
+                static_cast<unsigned long long>(event.express_worms));
     std::printf("  cache:  hit rate %.4f (%llu hits / %llu misses),"
                 " off-leg %7.2f ns/cycle, speedup %.2fx, identical=%s",
                 hit_rate, static_cast<unsigned long long>(event.cache_hits),
@@ -307,7 +322,7 @@ int main(int argc, char** argv) {
         " \"dense_ns_per_cycle\": %.3f, \"event_ns_per_cycle\": %.3f,"
         " \"event_vs_dense\": %.3f,"
         " \"dense_ticks_per_cycle\": %.3f, \"event_ticks_per_cycle\": %.3f,"
-        " \"credit_flushes_per_cycle\": %.3f,"
+        " \"credit_flushes_per_cycle\": %.3f, \"express_worms\": %llu,"
         " \"stats_match\": %s,"
         " \"cache\": {\"hits\": %llu, \"misses\": %llu,"
         " \"hit_rate\": %.4f, \"off_ns_per_cycle\": %.3f,"
@@ -321,6 +336,7 @@ int main(int argc, char** argv) {
         event.wall_ms, dense.ns_per_cycle, event.ns_per_cycle, event_vs_dense,
         dense.ticks_per_cycle, event.ticks_per_cycle,
         event.credit_flushes_per_cycle,
+        static_cast<unsigned long long>(event.express_worms),
         dense.delivered == event.delivered ? "true" : "false",
         static_cast<unsigned long long>(event.cache_hits),
         static_cast<unsigned long long>(event.cache_misses), hit_rate,

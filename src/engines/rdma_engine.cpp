@@ -37,7 +37,8 @@ bool RdmaEngine::process(Message& msg, Cycle now) {
     op.created_at = msg.created_at;
     op.nic_ingress_at = msg.nic_ingress_at;
     op.ingress_port = msg.ingress_port;
-    pending_[op.request_id] = op;
+    const std::uint32_t tag = next_tag_++;
+    pending_[tag] = op;
 
     auto read = make_message(MessageKind::kDmaRead);
     read->dma_addr = msg.dma_addr;
@@ -48,7 +49,8 @@ bool RdmaEngine::process(Message& msg, Cycle now) {
     read->created_at = msg.created_at;
     read->nic_ingress_at = msg.nic_ingress_at;
     read->ingress_port = msg.ingress_port;
-    read->meta = msg.meta;  // carries kvs_request_id for the completion
+    read->meta = msg.meta;
+    read->meta.kvs_request_id = tag;  // echoed by the completion
     read->meta_valid = true;
     ++issued_;
     emit(std::move(read), rdma_.dma_engine, now);

@@ -46,7 +46,12 @@ class RdmaEngine : public Engine {
   };
 
   RdmaConfig rdma_;
-  std::unordered_map<std::uint32_t, PendingOp> pending_;  // by request_id
+  /// Outstanding reads by RDMA-local tag.  Not by the client's KVS
+  /// request_id: every client numbers its requests on its own, so two
+  /// tenants' in-flight GETs may share one.  The tag rides in the read's
+  /// meta.kvs_request_id, which the DMA completion echoes back.
+  std::unordered_map<std::uint32_t, PendingOp> pending_;
+  std::uint32_t next_tag_ = 0;
 
   std::uint64_t issued_ = 0;
   std::uint64_t replies_ = 0;

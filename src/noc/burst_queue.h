@@ -7,10 +7,12 @@
 // flit index, run length, and the per-flit ready cycles as an arithmetic
 // sequence (each flit crosses a link one cycle after its predecessor).
 //
-// The interface is still flit-at-a-time — push_flit/pop_flit move exactly
-// one flit, capacity is counted in flits — so routers observe bit-identical
+// The interface is still flit-at-a-time — push/pop move exactly one
+// flit, capacity is counted in flits — so routers observe bit-identical
 // per-cycle behaviour (credits, stalls, allocation) while the storage cost
-// and per-flit copy cost collapse from O(flits) to O(messages).
+// and per-flit copy cost collapse from O(flits) to O(messages).  A flit is
+// never an object of its own: push takes its fields, pop reads them off
+// front().
 //
 // Merge rule (the equivalence argument, see DESIGN.md): a pushed flit
 // joins the newest descriptor only when it is the same message's next flit
@@ -23,13 +25,12 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <utility>
 
 #include "common/ids.h"
 #include "common/ring_buffer.h"
 #include "common/units.h"
-#include "noc/flit.h"
+#include "net/message.h"
 
 namespace panic::noc {
 
@@ -43,7 +44,7 @@ struct FlitBurst {
   Cycle ready = 0;
   /// Router outputs (bit per Direction) the message's head flit may take;
   /// computed once when the head is accepted, meaningful while the head
-  /// (seq == 0) is the burst's first flit.  0 in eject queues.
+  /// (seq == 0) is the burst's first flit.
   std::uint8_t route = 0;
   MessagePtr msg;  ///< attached once the tail flit has joined the run
 };
@@ -61,59 +62,80 @@ class FlitBurstQueue {
   std::size_t size() const { return flits_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Enqueues one flit, visible at `ready`; `route` is the head flit's
-  /// permitted-output mask (ignored for other flits, which never start a
-  /// burst whose route is read).  Caller must check !full().
-  void push_flit(Flit&& flit, Cycle ready, std::uint8_t route = 0) {
+  /// Enqueues flit `seq` of a `total`-flit message to `dst`, visible at
+  /// `ready`; `msg` is the message on its tail flit (nullptr otherwise),
+  /// `route` the head flit's permitted-output mask (ignored for other
+  /// flits, which never start a burst whose route is read).  Caller must
+  /// check !full().
+  void push(EngineId dst, std::uint32_t seq, std::uint32_t total,
+            Cycle ready, std::uint8_t route, MessagePtr msg) {
     assert(!full());
     ++flits_;
     if (!bursts_.empty()) {
       FlitBurst& b = bursts_.back();
-      if (b.dst == flit.dst && b.total == flit.total &&
-          b.seq + b.count == flit.seq && b.ready + b.count == ready) {
+      if (b.dst == dst && b.total == total && b.seq + b.count == seq &&
+          b.ready + b.count == ready) {
         ++b.count;
-        if (flit.msg != nullptr) b.msg = std::move(flit.msg);
+        if (msg != nullptr) b.msg = std::move(msg);
         return;
       }
     }
     FlitBurst b;
-    b.dst = flit.dst;
-    b.seq = flit.seq;
-    b.total = flit.total;
+    b.dst = dst;
+    b.seq = seq;
+    b.total = total;
     b.count = 1;
     b.ready = ready;
     b.route = route;
-    b.msg = std::move(flit.msg);
+    b.msg = std::move(msg);
     bursts_.push(std::move(b));
-  }
-
-  /// True if the oldest flit exists and is ready at `now`.
-  bool ready(Cycle now) const {
-    return flits_ != 0 && bursts_.front().ready <= now;
   }
 
   /// The burst whose first flit is the queue head.  Caller must check
   /// !empty().
   const FlitBurst& front() const { return bursts_.front(); }
+  /// The burst holding the newest flit.  Caller must check !empty().
+  const FlitBurst& back() const { return bursts_.back(); }
 
-  /// Dequeues the oldest flit.  Caller must check ready().
-  Flit pop_flit() {
+  /// Dequeues the oldest flit (front().seq); returns the message if it
+  /// was the tail flit, else nullptr.  Caller must check !empty().
+  MessagePtr pop() {
     assert(flits_ != 0);
     FlitBurst& b = bursts_.front();
-    Flit flit(b.dst, b.seq, b.total);
-    if (flit.is_tail()) flit.msg = std::move(b.msg);
+    MessagePtr msg;
+    if (b.seq + 1 == b.total) msg = std::move(b.msg);
     ++b.seq;
     --b.count;
     ++b.ready;
     --flits_;
     if (b.count == 0) bursts_.pop();
-    return flit;
+    return msg;
   }
 
-  /// Cycle at which the oldest flit becomes ready (max if empty).
-  Cycle next_ready() const {
-    return flits_ == 0 ? std::numeric_limits<Cycle>::max()
-                       : bursts_.front().ready;
+  /// Replaces the contents with one run of `count` flits of one message,
+  /// starting at flit `seq`, the first visible at `ready` (express-worm
+  /// install and materialize, see noc/mesh.h).  The run keeps the old
+  /// newest burst's dst, total and message, so it only re-times and
+  /// re-numbers flits the queue holds for the same message.
+  void reset_run(std::uint32_t seq, std::uint32_t count, Cycle ready) {
+    assert(flits_ != 0 && count != 0 && count <= capacity_);
+    FlitBurst run = std::move(bursts_.back());
+    bursts_.clear();
+    run.seq = seq;
+    run.count = count;
+    run.ready = ready;
+    run.route = 0;
+    flits_ = count;
+    bursts_.push(std::move(run));
+  }
+
+  /// Attaches the message to the newest burst, whose last flit is the
+  /// message's tail (express hand-over of a tail that moved virtually).
+  void attach_tail(MessagePtr msg) {
+    assert(flits_ != 0);
+    FlitBurst& b = bursts_.back();
+    assert(b.seq + b.count == b.total && b.msg == nullptr);
+    b.msg = std::move(msg);
   }
 
  private:

@@ -6,37 +6,21 @@
 // flit releases the path.  The Message object itself rides on the tail flit
 // (the simulation equivalent of the last flit completing delivery).
 //
-// A flit is described by its index within the message (`seq`) and the
-// message's flit count (`total`); head/tail are derived rather than stored
-// so the representation stays compact enough for the burst compression in
-// burst_queue.h (contiguous flits of one message collapse into a single
-// descriptor with body flits accounted arithmetically).
+// A flit is never an object of its own: it is described by its index
+// within the message (`seq`) and the message's flit count (`total`), and
+// stored only inside the burst descriptors of burst_queue.h (contiguous
+// flits of one message collapse into a single descriptor with body flits
+// accounted arithmetically).  Flit 0 is the head, flit total-1 the tail.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-
-#include "common/ids.h"
-#include "net/message.h"
 
 namespace panic::noc {
 
 /// NoC-level header overhead per message, in bits (destination address,
 /// length, type).  Charged once per message against channel bandwidth.
 inline constexpr std::uint32_t kNocHeaderBits = 64;
-
-struct Flit {
-  EngineId dst;             ///< destination tile
-  std::uint32_t seq = 0;    ///< flit index within the message
-  std::uint32_t total = 1;  ///< the message's flit count
-  MessagePtr msg;           ///< carried on the tail flit only
-
-  Flit() = default;
-  Flit(EngineId dst_, std::uint32_t seq_, std::uint32_t total_)
-      : dst(dst_), seq(seq_), total(total_) {}
-
-  bool is_head() const { return seq == 0; }
-  bool is_tail() const { return seq + 1 == total; }
-};
 
 /// Number of flits needed to carry `wire_bytes` on a `channel_bits`-wide
 /// link.

@@ -11,7 +11,8 @@ namespace panic::noc {
 Mesh::Mesh(const MeshConfig& config, Simulator& sim)
     : Component("noc"),
       config_(config),
-      dense_(sim.mode() == SimMode::kStrictTick) {
+      dense_(sim.mode() == SimMode::kStrictTick),
+      express_ok_(!dense_) {
   const int k = config_.k;
   assert(k >= 2);
   const auto tiles = static_cast<std::size_t>(k) * k;
@@ -111,6 +112,7 @@ Cycle next_due(const std::vector<std::uint64_t>& busy,
 }  // namespace
 
 void Mesh::tick(Cycle now) {
+  last_tick_ = now;
   if (dense_) {
     for (auto& ni : nis_) ni->tick(now);
     for (auto& r : routers_) r->tick(now);
@@ -128,6 +130,82 @@ void Mesh::tick(Cycle now) {
   for (const CreditReturn& c : credit_log_) c.router->flush_credits(c.out);
   credit_flushes_ += credit_log_.size();
   credit_log_.clear();
+
+  // Express check, after the fold so credits are those of cycle now + 1.
+  std::size_t keep = 0;
+  for (const int tile : express_candidates_) {
+    if (try_express(tile, now) == ExpressCheck::kRetry) {
+      express_candidates_[keep++] = tile;
+    }
+  }
+  express_candidates_.resize(keep);
+}
+
+Mesh::ExpressCheck Mesh::try_express(int tile, Cycle now) {
+  constexpr int kLocal = static_cast<int>(Direction::kLocal);
+  // LOCKED: follow the owned outputs back to the source's local input.
+  express_path_.clear();
+  Router* r = routers_[static_cast<std::size_t>(tile)].get();
+  int out = kLocal;
+  for (;;) {
+    const int in = r->output_owner_[out];
+    if (in < 0 || ((r->express_ >> in) & 1u) != 0) return ExpressCheck::kDrop;
+    express_path_.emplace_back(r, in);
+    if (in == kLocal) break;
+    out = static_cast<int>(kReverse[in]);
+    r = r->neighbors_[in];
+  }
+  NetworkInterface& ni = *nis_[static_cast<std::size_t>(r->tile_)];
+  if (ni.pending_.empty()) return ExpressCheck::kDrop;
+  const NetworkInterface::PendingMessage& p = ni.pending_.front();
+  const std::uint32_t total = p.total_flits;
+
+  // STEADY and CONTIGUOUS, destination first: `next` is the first flit
+  // the hop upstream of the one just checked must hold.
+  std::uint32_t next = 0;
+  for (std::size_t h = 0; h < express_path_.size(); ++h) {
+    const auto [hop, in] = express_path_[h];
+    const FlitBurstQueue& q = hop->inputs_[in];
+    if (q.empty()) return ExpressCheck::kRetry;
+    const FlitBurst& front = q.front();
+    if (front.dst != p.dst || front.total != total) return ExpressCheck::kDrop;
+    // One message's flits in order: a burst of any other message would
+    // restart at flit 0 and break the count.
+    const auto n = static_cast<std::uint32_t>(q.size());
+    if (q.back().seq + q.back().count != front.seq + n ||
+        (h != 0 && front.seq != next)) {
+      return ExpressCheck::kRetry;
+    }
+    if (n + 1 > q.capacity() || hop->head_ready_[in] > now + 1) {
+      return ExpressCheck::kRetry;
+    }
+    next = front.seq + n;
+  }
+  if (p.sent_flits != next) return ExpressCheck::kDrop;
+
+  // Install: hop h holding n flits from flit a pops its tail at
+  // T = now + total - a; it keeps the run total-n ... total-1, routable
+  // T-n+1 ... T, and counts the total-a-n earlier flits as virtual pops
+  // over now+1 ... T-n.
+  for (const auto& [hop, in] : express_path_) {
+    const FlitBurstQueue& q = hop->inputs_[in];
+    const std::uint32_t a = q.front().seq;
+    const auto n = static_cast<std::uint32_t>(q.size());
+    const std::uint32_t virtual_pops = total - a - n;
+    hop->start_express(in, total - n, n, now + 1 + virtual_pops,
+                       virtual_pops);
+  }
+  ni.virtual_left_ = total - p.sent_flits;
+  ++express_worms_;
+  return ExpressCheck::kInstalled;
+}
+
+void Mesh::materialize_express() {
+  if (!express_ok_) return;
+  express_ok_ = false;
+  express_candidates_.clear();
+  for (auto& r : routers_) r->materialize_express(last_tick_);
+  for (auto& ni : nis_) ni->virtual_left_ = 0;
 }
 
 Cycle Mesh::next_wake(Cycle now) const {

@@ -37,33 +37,42 @@ MessagePtr NetworkInterface::try_receive(Cycle now) {
 
 void NetworkInterface::tick(Cycle now) {
   // Injection: one flit per cycle into the router's local input.
-  if (!pending_.empty() && router_->can_accept(Direction::kLocal)) {
+  if (!pending_.empty()) {
     PendingMessage& p = pending_.front();
-    Flit flit(p.dst, p.sent_flits, p.total_flits);
-    const bool tail = flit.is_tail();
-    if (tail) flit.msg = std::move(p.msg);
-    router_->accept(Direction::kLocal, std::move(flit), now);
-    ++p.sent_flits;
-    ++flits_sent_;
-    if (tail) {
-      ++messages_sent_;
-      pending_.pop();
+    constexpr Direction kLocal = Direction::kLocal;
+    const bool express = virtual_left_ != 0;
+    if (express || router_->can_accept(kLocal)) {
+      const bool tail = p.sent_flits + 1 == p.total_flits;
+      if (!express) {
+        router_->accept(kLocal, p.dst, p.sent_flits, p.total_flits,
+                        tail ? std::move(p.msg) : nullptr, now);
+      } else if (--virtual_left_ == 0) {
+        // Express: the local input's run already stands for every pushed
+        // flit, and takes the message with the tail.
+        router_->hand_over_tail(static_cast<int>(kLocal), std::move(p.msg));
+      }
+      ++p.sent_flits;
+      ++flits_sent_;
+      if (tail) {
+        ++messages_sent_;
+        pending_.pop();
+      }
     }
   }
 
-  // Ejection: one flit per cycle from the router's eject queue.  Wormhole
-  // switching guarantees flits of a message arrive contiguously, so the
-  // message is complete when its tail flit appears.
-  FlitBurstQueue& eject = router_->eject_queue();
-  if (eject.ready(now)) {
-    Flit flit = eject.pop_flit();
-    if (flit.is_tail()) {
-      assert(flit.msg != nullptr);
-      received_.try_push(std::move(flit.msg), now);
-      ++messages_received_;
-      if (client_ != nullptr) client_->request_wake(now);
-    }
+  // Reception: the message whose tail the router ejected last cycle.
+  if (delivered_ != nullptr && delivered_at_ <= now) {
+    received_.try_push(std::move(delivered_), now);
+    ++messages_received_;
+    if (client_ != nullptr) client_->request_wake(now);
   }
+}
+
+void NetworkInterface::deliver(MessagePtr msg, Cycle now) {
+  assert(delivered_ == nullptr && "two messages ejected in one cycle");
+  delivered_ = std::move(msg);
+  delivered_at_ = now + 1;
+  router_->mesh().mark_ni_busy(tile_.value, now + 1);
 }
 
 void NetworkInterface::register_telemetry(telemetry::Telemetry& t) {

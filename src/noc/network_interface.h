@@ -1,8 +1,9 @@
 // Network interface (NI): the shim between an engine and its mesh router.
 // Segments outgoing messages into flits at the channel bit width, feeds
 // them into the router's local input port at one flit per cycle, and
-// reassembles arriving flits back into messages.  NIs are not kernel
-// components: the Mesh ticks them (see mesh.h).
+// takes each arriving message from the router when its tail flit is
+// ejected.  NIs are not kernel components: the Mesh ticks them (see
+// mesh.h).
 #pragma once
 
 #include <cstdint>
@@ -41,23 +42,26 @@ class NetworkInterface final : public Component {
   /// Returns a fully reassembled incoming message, or nullptr.
   MessagePtr try_receive(Cycle now);
 
-  /// Pushes at most one flit per cycle into the router and drains at most
-  /// one ejected flit per cycle (matching the single local port).
+  /// Pushes at most one flit per cycle into the router (one virtual push
+  /// while the front message is an express worm) and moves a delivered
+  /// message into the receive queue.
   void tick(Cycle now) override;
 
-  /// Nothing to segment and nothing to eject: tick() would be a no-op
-  /// until inject() or the router's eject path hands it work.
-  bool idle() const {
-    return pending_.empty() && router_->eject_queue().empty();
-  }
+  /// Called by the router when a message's tail flit leaves through its
+  /// local output at `now`: the message is received at `now + 1`.  At most
+  /// one message is ejected per cycle and the next tick takes it, so one
+  /// slot suffices.  Marks this NI busy in the Mesh.
+  void deliver(MessagePtr msg, Cycle now);
 
-  /// The earliest cycle after `now` at which tick() can do work:
-  /// `now + 1` while segmenting (retrying while the router's local input
-  /// is full), else the next ejected flit's ready cycle.
+  /// Nothing to segment and nothing delivered: tick() would be a no-op
+  /// until inject() or deliver() hands it work.
+  bool idle() const { return pending_.empty() && delivered_ == nullptr; }
+
+  /// The earliest cycle after `now` at which tick() can do work: `now + 1`
+  /// while segmenting (retrying while the router's local input is full)
+  /// or holding a delivered message; kNeverWake when idle.
   Cycle next_due(Cycle now) const {
-    if (!pending_.empty()) return now + 1;
-    const Cycle eject = router_->eject_queue().next_ready();
-    return eject > now + 1 ? eject : now + 1;
+    return idle() ? kNeverWake : now + 1;
   }
 
   std::uint64_t messages_sent() const { return messages_sent_; }
@@ -68,6 +72,8 @@ class NetworkInterface final : public Component {
   void register_telemetry(telemetry::Telemetry& t) override;
 
  private:
+  friend class Mesh;
+
   struct PendingMessage {
     MessagePtr msg;
     EngineId dst;
@@ -85,6 +91,14 @@ class NetworkInterface final : public Component {
   /// the backpressure bound, but callers that pre-date the bound (tests,
   /// drivers pushing bursts) may exceed it, so the storage grows.
   Fifo<PendingMessage> pending_;
+  /// Virtual pushes left of the front message once it went express (the
+  /// router's local input already holds its last flits as a run; see
+  /// mesh.h).  The last one is the tail push, which hands the message to
+  /// that run.
+  std::uint32_t virtual_left_ = 0;
+  /// The message whose tail flit was ejected, received at `delivered_at_`.
+  MessagePtr delivered_;
+  Cycle delivered_at_ = 0;
   /// Reassembled messages awaiting the engine.  Logically unbounded (the
   /// engine's scheduler queue does the dropping), so its high watermark is
   /// published as growth telemetry.

@@ -20,13 +20,7 @@ const char* to_string(Direction d) {
 }
 
 namespace {
-constexpr std::size_t kEjectDepth = 8;  // flits buffered toward the NI
-
-// The reverse direction on the neighbor: our East output feeds its West
-// input, etc.
-constexpr Direction kReverse[] = {Direction::kSouth, Direction::kWest,
-                                  Direction::kNorth, Direction::kEast,
-                                  Direction::kLocal};
+constexpr int kLocalPort = static_cast<int>(Direction::kLocal);
 }  // namespace
 
 Router::Router(Mesh* mesh, int x, int y, int k, std::size_t buffer_flits,
@@ -40,8 +34,7 @@ Router::Router(Mesh* mesh, int x, int y, int k, std::size_t buffer_flits,
       algo_(algo),
       inputs_{FlitBurstQueue(buffer_flits), FlitBurstQueue(buffer_flits),
               FlitBurstQueue(buffer_flits), FlitBurstQueue(buffer_flits),
-              FlitBurstQueue(buffer_flits)},
-      eject_(kEjectDepth) {
+              FlitBurstQueue(buffer_flits)} {
   head_ready_.fill(kNeverWake);
   output_owner_.fill(-1);
   rr_.fill(0);
@@ -78,7 +71,8 @@ bool Router::can_accept(Direction from) const {
   return q.size() + leaked < q.capacity();
 }
 
-void Router::accept(Direction from, Flit&& flit, Cycle now) {
+void Router::accept(Direction from, EngineId dst, std::uint32_t seq,
+                    std::uint32_t total, MessagePtr msg, Cycle now) {
   const int i = static_cast<int>(from);
   auto& q = inputs_[i];
   assert(!q.full());
@@ -95,12 +89,13 @@ void Router::accept(Direction from, Flit&& flit, Cycle now) {
       ++flits_delayed_;
     }
   }
-  const std::uint8_t route = flit.is_head() ? route_mask(flit.dst) : 0;
+  const std::uint8_t route = seq == 0 ? route_mask(dst) : 0;
   if (q.empty()) {
     head_ready_[i] = ready;
-    head_want_[i] = flit.is_head() ? route : owned_[i];
+    head_want_[i] = seq == 0 ? route : owned_[i];
+    occupied_ |= 1u << i;
   }
-  q.push_flit(std::move(flit), ready, route);
+  q.push(dst, seq, total, ready, route, std::move(msg));
   mesh_->mark_router_busy(tile_, ready);
 }
 
@@ -144,6 +139,7 @@ void Router::register_telemetry(telemetry::Telemetry& t) {
 
 void Router::fault_link(int port, double probability, Cycles delay,
                         Cycle until, std::uint64_t seed) {
+  mesh_->materialize_express();  // NOFAULT ends here (mesh.h)
   for (int p = 0; p < kNumPorts; ++p) {
     if (port >= 0 && p != port) continue;
     PortFault& pf = port_faults_[p];
@@ -157,6 +153,7 @@ void Router::fault_link(int port, double probability, Cycles delay,
 }
 
 void Router::fault_leak_credits(int port, std::uint32_t amount) {
+  mesh_->materialize_express();  // NOFAULT ends here (mesh.h)
   for (int p = 0; p < kNumPorts; ++p) {
     if (port >= 0 && p != port) continue;
     port_faults_[p].leaked_credits += amount;
@@ -167,7 +164,7 @@ void Router::fault_leak_credits(int port, std::uint32_t amount) {
     // leak is permanent either way (a leak >= the buffer depth wedges the
     // link, which is what the watchdog exists to flag).  kLocal keeps the
     // live can_accept() check the NI performs.
-    if (p == static_cast<int>(Direction::kLocal)) continue;
+    if (p == kLocalPort) continue;
     Router* up = neighbors_[p];
     if (up == nullptr) continue;
     const int up_out = static_cast<int>(kReverse[p]);
@@ -186,29 +183,78 @@ void Router::stage_credit_return(int out) {
   }
 }
 
-void Router::forward(int out, Flit&& flit, Cycle now) {
+void Router::forward(int out, EngineId dst, std::uint32_t seq,
+                     std::uint32_t total, MessagePtr msg, bool express,
+                     Cycle now) {
   ++flits_routed_;
   // The tail flit carries the message, so the hop is attributed when the
-  // whole message has cleared this router (keeps Flit free of extra
-  // per-flit state on the hot path).
-  if (flit.is_tail() && flit.msg != nullptr) {
-    trace(telemetry::TraceEventKind::kNocHop, now, flit.msg->id,
-          flit.dst.value);
+  // whole message has cleared this router.
+  if (msg != nullptr) {
+    trace(telemetry::TraceEventKind::kNocHop, now, msg->id, dst.value);
   }
-  if (out == static_cast<int>(Direction::kLocal)) {
-    assert(!eject_.full());
-    eject_.push_flit(std::move(flit), now + 1);
-    mesh_->mark_ni_busy(tile_, now + 1);
+  if (out == kLocalPort) {
+    // Body flits end here; the NI takes the tail's message next cycle.
+    if (msg != nullptr) mesh_->nis_[tile_]->deliver(std::move(msg), now);
     return;
   }
   assert(neighbors_[out] != nullptr &&
          "flit routed toward a missing neighbor");
+  Router& next = *neighbors_[out];
+  const int in = static_cast<int>(kReverse[out]);
+  if (express) {
+    // The downstream input counts this flit as a virtual pop (HANDOVER in
+    // mesh.h): nothing moves and no credit is spent — except the tail's
+    // message, which joins the downstream run.
+    if (msg != nullptr) next.hand_over_tail(in, std::move(msg));
+    return;
+  }
   assert(credits_[out] > 0 && "forward() without a credit");
   --credits_[out];
-  neighbors_[out]->accept(kReverse[out], std::move(flit), now);
+  next.accept(kReverse[out], dst, seq, total, std::move(msg), now);
+}
+
+void Router::count_virtual_pops() {
+  for (unsigned m = streaming_; m != 0; m &= m - 1) {
+    const int i = std::countr_zero(m);
+    ++flits_routed_;
+    // A pop off a mesh input stages one credit return upstream, folded
+    // the same cycle: one credit flush.
+    if (i != kLocalPort) ++mesh_->credit_flushes_;
+    if (--virtual_left_[i] == 0) streaming_ &= ~(1u << i);
+  }
+}
+
+void Router::start_express(int i, std::uint32_t seq, std::uint32_t count,
+                           Cycle ready, std::uint32_t virtual_pops) {
+  assert(virtual_pops != 0);
+  inputs_[i].reset_run(seq, count, ready);
+  head_ready_[i] = ready;
+  virtual_left_[i] = virtual_pops;
+  express_ |= 1u << i;
+  streaming_ |= 1u << i;
+}
+
+void Router::materialize_express(Cycle last_tick) {
+  for (unsigned m = streaming_; m != 0; m &= m - 1) {
+    const int i = std::countr_zero(m);
+    FlitBurstQueue& q = inputs_[i];
+    // In steady flow the input received one flit per cycle, so the n
+    // flits it holds arrived at last_tick - n + 1 ... last_tick; ahead of
+    // them are the virtual pops not yet counted.
+    const auto n = static_cast<std::uint32_t>(q.size());
+    const Cycle ready = last_tick + 2 - n;
+    q.reset_run(q.front().seq - virtual_left_[i], n, ready);
+    head_ready_[i] = ready;
+    virtual_left_[i] = 0;
+  }
+  streaming_ = 0;
+  express_ = 0;
 }
 
 void Router::tick(Cycle now) {
+  // An express input counts this cycle's virtual pop (mesh.h).
+  if (streaming_ != 0) count_virtual_pops();
+
   // Inputs whose head flit is routable this cycle.  Within this tick an
   // input's readiness only changes when it pops (upstream accepts land
   // with ready >= now + 1), and one flit may leave per input per cycle, so
@@ -217,7 +263,8 @@ void Router::tick(Cycle now) {
   // pointer changes — which is what lets the Mesh skip idle and
   // not-yet-ready routers outright.
   unsigned ready = 0;
-  for (int i = 0; i < kNumPorts; ++i) {
+  for (unsigned m = occupied_; m != 0; m &= m - 1) {
+    const int i = std::countr_zero(m);
     if (head_ready_[i] <= now) ready |= 1u << i;
   }
   if (ready == 0) return;
@@ -265,17 +312,27 @@ void Router::tick(Cycle now) {
     }
 
     FlitBurstQueue& q = inputs_[chosen];
-    Flit flit = q.pop_flit();
-    ready &= ~(1u << chosen);
-    if (flit.is_tail()) {
+    const EngineId dst = q.front().dst;
+    const std::uint32_t seq = q.front().seq;
+    const std::uint32_t total = q.front().total;
+    MessagePtr msg = q.pop();
+    const unsigned bit = 1u << chosen;
+    const bool express = (express_ & bit) != 0;
+    ready &= ~bit;
+    if (seq + 1 == total) {
       output_owner_[o] = -1;
       owned_[chosen] = 0;
+      express_ &= ~bit;  // an express run ends with its tail
     } else {
       output_owner_[o] = chosen;
       owned_[chosen] = static_cast<std::uint8_t>(1u << o);
+      // A head taking the local output: its worm may go express once the
+      // path streams (checked at the end of the Mesh tick).
+      if (seq == 0 && o == kLocalPort) mesh_->note_ejected_head(tile_);
     }
     if (q.empty()) {
       head_ready_[chosen] = kNeverWake;
+      occupied_ &= ~bit;
     } else {
       const FlitBurst& next = q.front();
       head_ready_[chosen] = next.ready;
@@ -284,13 +341,12 @@ void Router::tick(Cycle now) {
     // Return the freed buffer slot to the upstream router as a credit,
     // visible after the end-of-tick flush (kLocal is fed by the NI, which
     // uses the live can_accept() check instead).
-    if (chosen != static_cast<int>(Direction::kLocal) &&
-        neighbors_[chosen] != nullptr) {
+    if (chosen != kLocalPort && neighbors_[chosen] != nullptr) {
       neighbors_[chosen]->stage_credit_return(
           static_cast<int>(kReverse[chosen]));
     }
-    if (flit.msg != nullptr) ++flit.msg->noc_hops;  // tail flit carries msg
-    forward(o, std::move(flit), now);
+    if (msg != nullptr) ++msg->noc_hops;  // the tail flit carries msg
+    forward(o, dst, seq, total, std::move(msg), express, now);
   }
 }
 

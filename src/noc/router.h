@@ -18,15 +18,18 @@
 // routers tick in.
 //
 // Routers are not kernel components: the Mesh ticks them (see mesh.h).
+// In the event kernel the Mesh may also turn a locked, streaming worm's
+// inputs into express runs whose body flits move as counted virtual pops
+// (mesh.h, "Express worms").
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 
 #include "common/rng.h"
 #include "noc/burst_queue.h"
-#include "noc/flit.h"
 #include "sim/component.h"
 
 namespace panic::noc {
@@ -41,6 +44,12 @@ enum class Direction : std::uint8_t {
 inline constexpr int kNumPorts = 5;
 
 const char* to_string(Direction d);
+
+/// The reverse direction on the neighbor: our East output feeds its West
+/// input, etc.
+inline constexpr Direction kReverse[kNumPorts] = {
+    Direction::kSouth, Direction::kWest, Direction::kNorth, Direction::kEast,
+    Direction::kLocal};
 
 /// Routing algorithm.  kXY is deterministic dimension-order routing.
 /// kWestFirst is the classic turn-model adaptive algorithm: all West hops
@@ -95,30 +104,32 @@ class Router final : public Component {
   /// credit check).
   bool can_accept(Direction from) const;
 
-  /// Delivers a flit into the `from` input buffer; visible to the router's
-  /// allocation logic from cycle `now + 1` (the hop latency).  Marks this
-  /// router busy in the Mesh.  Precondition: can_accept(from).
-  void accept(Direction from, Flit&& flit, Cycle now);
-
-  /// The local ejection queue the attached network interface drains.
-  FlitBurstQueue& eject_queue() { return eject_; }
-  const FlitBurstQueue& eject_queue() const { return eject_; }
+  /// Delivers flit `seq` of a `total`-flit message to `dst` into the
+  /// `from` input buffer (`msg` rides on the tail flit, nullptr
+  /// otherwise); visible to the router's allocation logic from cycle
+  /// `now + 1` (the hop latency).  Marks this router busy in the Mesh.
+  /// Precondition: can_accept(from).
+  void accept(Direction from, EngineId dst, std::uint32_t seq,
+              std::uint32_t total, MessagePtr msg, Cycle now);
 
   /// One allocation + switch traversal cycle.  A no-op (no counter or
   /// round-robin pointer moves) when no head flit is routable at `now`.
   void tick(Cycle now) override;
 
   /// Every input FIFO is empty: tick() is a no-op until accept().
-  bool idle() const { return !has_pending_flits(); }
+  bool idle() const { return occupied_ == 0; }
 
   /// The earliest cycle after `now` at which tick() can do work: `now + 1`
-  /// while a head flit is routable (a stalled head retries every cycle,
-  /// so stall accounting matches the dense kernel), else the earliest
-  /// head's ready cycle; kNeverWake when every input is empty.
+  /// while an input streams virtual pops or a head flit is routable (a
+  /// stalled head retries every cycle, so stall accounting matches the
+  /// dense kernel), else the earliest head's ready cycle; kNeverWake when
+  /// every input is empty.
   Cycle next_due(Cycle now) const {
-    Cycle next = head_ready_[0];
-    for (int i = 1; i < kNumPorts; ++i) {
-      if (head_ready_[i] < next) next = head_ready_[i];
+    if (streaming_ != 0) return now + 1;
+    Cycle next = kNeverWake;
+    for (unsigned m = occupied_; m != 0; m &= m - 1) {
+      const Cycle r = head_ready_[std::countr_zero(m)];
+      if (r < next) next = r;
     }
     return next > now + 1 ? next : now + 1;
   }
@@ -155,31 +166,57 @@ class Router final : public Component {
 
   // --- Watchdog probes (fault/watchdog.h). ---
   std::uint64_t progress() const { return flits_routed_; }
-  bool has_pending_flits() const {
-    for (const Cycle r : head_ready_) {
-      if (r != kNeverWake) return true;
-    }
-    return false;
-  }
+  bool has_pending_flits() const { return occupied_ != 0; }
 
   std::uint64_t flits_delayed() const { return flits_delayed_; }
 
  private:
+  friend class Mesh;
+  friend class NetworkInterface;
+
   /// The outputs (bit per Direction) that are productive and permitted
   /// for a flit to `dst` under the configured routing algorithm (tile id
   /// = y*k + x).  Computed once per head flit, in accept().
   std::uint8_t route_mask(EngineId dst) const;
 
   /// True if the downstream of output `out` can accept a flit now: a
-  /// registered credit for mesh outputs, live eject-queue occupancy for
-  /// kLocal.
+  /// registered credit for mesh outputs.  kLocal is always ready: at most
+  /// one input owns it, so at most one flit leaves through it per cycle,
+  /// and the NI takes the message the next cycle (DESIGN.md, NIBUSY).
   bool downstream_ready(int out) const {
-    if (out == static_cast<int>(Direction::kLocal)) return !eject_.full();
-    return credits_[out] > 0;
+    return out == static_cast<int>(Direction::kLocal) || credits_[out] > 0;
   }
 
-  /// Sends `flit` out of `out` (spends the output's credit).
-  void forward(int out, Flit&& flit, Cycle now);
+  /// Sends flit `seq` of a `total`-flit message to `dst` out of `out`
+  /// (`msg` on the tail flit).  A mesh output spends a credit and hands
+  /// the flit to the neighbor, unless it came off an express run
+  /// (`express`), whose downstream input counts it as a virtual pop — then
+  /// only a tail moves, its message joining the downstream run.  kLocal
+  /// hands the tail's message to the NI; body flits end here.
+  void forward(int out, EngineId dst, std::uint32_t seq, std::uint32_t total,
+               MessagePtr msg, bool express, Cycle now);
+
+  /// Attaches the message of a tail flit that moved virtually to input
+  /// `in`'s express run (HANDOVER in mesh.h).
+  void hand_over_tail(int in, MessagePtr msg) {
+    inputs_[in].attach_tail(std::move(msg));
+  }
+
+  /// One virtual pop on every streaming input (see mesh.h, "Express
+  /// worms"): the counters a real pop of a body flit would move.
+  void count_virtual_pops();
+
+  /// Express install on input `i` (Mesh only): its flits become one run
+  /// of `count` flits from flit `seq`, the first routable at `ready`, and
+  /// the input streams `virtual_pops` virtual pops first.
+  void start_express(int i, std::uint32_t seq, std::uint32_t count,
+                     Cycle ready, std::uint32_t virtual_pops);
+
+  /// Turns every express input back into ordinary flits as of the end of
+  /// the Mesh tick of cycle `last_tick`: a streaming input's run becomes
+  /// the flits it would physically hold then; a run past its virtual pops
+  /// stays as it is.
+  void materialize_express(Cycle last_tick);
 
   /// Called by the downstream router when it pops a flit we forwarded:
   /// stages one credit back for output `out`, visible after the next
@@ -198,17 +235,28 @@ class Router final : public Component {
   /// single descriptor); capacity and credits are still counted in flits.
   std::array<FlitBurstQueue, kNumPorts> inputs_;
   /// Input-queue heads as arrays, kept in step on every push and pop so a
-  /// tick reads them instead of five rings.  head_ready_[i] is
-  /// inputs_[i].next_ready() (kNeverWake when empty); head_want_[i] holds
-  /// the output bits input i's head flit can take: its route mask for a
-  /// head flit, the output its message owns (owned_[i]) for a body flit.
+  /// tick reads them instead of five rings.  head_ready_[i] is the ready
+  /// cycle of input i's oldest flit (kNeverWake when empty); head_want_[i]
+  /// holds the output bits input i's head flit can take: its route mask
+  /// for a head flit, the output its message owns (owned_[i]) for a body
+  /// flit.
   std::array<Cycle, kNumPorts> head_ready_;
   std::array<std::uint8_t, kNumPorts> head_want_{};
+  /// Bit i set iff inputs_[i] is non-empty (idle, next_due and the ready
+  /// scan visit only these).
+  unsigned occupied_ = 0;
   std::array<Router*, kNumPorts> neighbors_{};
-  FlitBurstQueue eject_;
 
-  /// Registered flow-control state for the four mesh outputs (kLocal uses
-  /// live eject occupancy).  `returns_staged_[o]` is written only by the
+  /// Express state (event kernel only, see mesh.h).  Bit i of `express_`
+  /// is set while input i's front burst is an express run, whose pops
+  /// forward nothing but the tail's message; bit i of `streaming_` while
+  /// input i still has `virtual_left_[i]` virtual pops to count.
+  unsigned express_ = 0;
+  unsigned streaming_ = 0;
+  std::array<std::uint32_t, kNumPorts> virtual_left_{};
+
+  /// Registered flow-control state for the four mesh outputs (kLocal
+  /// needs none).  `returns_staged_[o]` is written only by the
   /// downstream neighbor of output o (which logs o in the Mesh credit log
   /// on the 0 -> 1 step) and consumed by the flush; `leak_debt_[o]`
   /// swallows staged returns after a fault_leak_credits on the downstream

@@ -232,18 +232,6 @@ bool MetricsRegistry::expose_counter(const std::string& name,
   return add(std::move(e));
 }
 
-bool MetricsRegistry::expose_counter_sum(const std::string& name,
-                                         std::vector<std::uint64_t*> cells) {
-  for (const std::uint64_t* c : cells) {
-    if (!claim_cell(c, name)) return false;
-  }
-  Entry e;
-  e.name = name;
-  e.kind = MetricKind::kCounter;
-  e.cells = std::move(cells);
-  return add(std::move(e));
-}
-
 bool MetricsRegistry::expose_gauge(const std::string& name,
                                    std::function<double()> fn) {
   Entry e;
@@ -266,8 +254,7 @@ void MetricsRegistry::reset() {
   for (Entry& e : entries_) {
     switch (e.kind) {
       case MetricKind::kCounter:
-        if (e.cell != nullptr) *e.cell = 0;
-        for (std::uint64_t* c : e.cells) *c = 0;
+        *e.cell = 0;
         break;
       case MetricKind::kHistogram: e.hist->reset(); break;
       case MetricKind::kGauge: break;  // read-only view
@@ -283,12 +270,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     v.name = e.name;
     v.kind = e.kind;
     switch (e.kind) {
-      case MetricKind::kCounter: {
-        std::uint64_t total = e.cell != nullptr ? *e.cell : 0;
-        for (const std::uint64_t* c : e.cells) total += *c;
-        v.value = static_cast<double>(total);
+      case MetricKind::kCounter:
+        v.value = static_cast<double>(*e.cell);
         break;
-      }
       case MetricKind::kGauge:
         v.value = e.gauge ? e.gauge() : 0.0;
         break;

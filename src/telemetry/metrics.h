@@ -132,14 +132,6 @@ class MetricsRegistry {
   /// the registry (components outlive the simulator run by contract).
   bool expose_counter(const std::string& name, std::uint64_t* cell);
 
-  /// Publishes one counter backed by several externally-owned cells,
-  /// summed at snapshot time (and each zeroed by reset()).  Every cell
-  /// belongs to exactly one metric: registering the same cell address
-  /// under two metrics would count its increments twice, so it is
-  /// rejected and asserts in debug builds.
-  bool expose_counter_sum(const std::string& name,
-                          std::vector<std::uint64_t*> cells);
-
   /// Publishes a sampled value; `fn` runs at snapshot time.
   bool expose_gauge(const std::string& name, std::function<double()> fn);
 
@@ -163,8 +155,7 @@ class MetricsRegistry {
   struct Entry {
     std::string name;
     MetricKind kind;
-    std::uint64_t* cell = nullptr;        // kCounter, single cell
-    std::vector<std::uint64_t*> cells;    // kCounter, summed cells
+    std::uint64_t* cell = nullptr;        // kCounter
     std::function<double()> gauge;        // kGauge
     Histogram* hist = nullptr;            // kHistogram
   };

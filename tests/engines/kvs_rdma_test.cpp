@@ -184,5 +184,56 @@ TEST(KvsCache, GetTouchRefreshesLru) {
   EXPECT_EQ(f.kvs->misses(), 1u);
 }
 
+// Every client numbers its KVS requests on its own, so two tenants' GETs
+// can be in flight at the RDMA engine under one request_id.  Each must
+// still get its own reply, carrying its own key and value and the
+// client's request_id.
+TEST(KvsCache, SameRequestIdFromTwoTenantsGetsTwoReplies) {
+  KvsFixture f(KvsCacheMode::kLocation);
+  struct Want {
+    std::uint16_t tenant;
+    std::uint64_t key;
+    std::size_t value_size;
+  };
+  const Want wants[] = {{1, 7, 64}, {2, 9, 100}};
+  for (const Want& w : wants) {
+    auto set = kvs_message(
+        frames::kvs_set(kClient, kServer, w.tenant, w.key, 1, w.value_size));
+    set->chain.push_hop(f.kvs_tile);
+    set->chain.push_hop(f.host_sink);
+    f.m.send(std::move(set), f.src, f.kvs_tile);
+    ASSERT_NE(f.m.collect(f.host_sink), nullptr);
+  }
+  constexpr std::uint32_t kSharedId = 5;
+  for (const Want& w : wants) {
+    auto get = kvs_message(
+        frames::kvs_get(kClient, kServer, w.tenant, w.key, kSharedId));
+    get->ingress_port = f.src;
+    get->chain.push_hop(f.kvs_tile);
+    f.m.send(std::move(get), f.src, f.kvs_tile);
+  }
+
+  std::vector<Want> got;
+  for (int i = 0; i < 2; ++i) {
+    const auto reply = f.m.collect(f.reply_tile);
+    ASSERT_NE(reply, nullptr) << "reply " << i << " lost";
+    const auto parsed = parse_frame(reply->data);
+    ASSERT_TRUE(parsed.has_value() && parsed->kvs.has_value());
+    EXPECT_EQ(parsed->kvs->op, KvsOp::kGetReply);
+    EXPECT_EQ(parsed->kvs->request_id, kSharedId);
+    got.push_back({parsed->kvs->tenant, parsed->kvs->key,
+                   parsed->payload_size});
+  }
+  EXPECT_EQ(f.rdma->requests_issued(), 2u);
+  EXPECT_EQ(f.rdma->replies_generated(), 2u);
+  ASSERT_EQ(got.size(), 2u);
+  if (got[0].tenant != wants[0].tenant) std::swap(got[0], got[1]);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(got[i].tenant, wants[i].tenant);
+    EXPECT_EQ(got[i].key, wants[i].key);
+    EXPECT_EQ(got[i].value_size, wants[i].value_size);
+  }
+}
+
 }  // namespace
 }  // namespace panic::engines

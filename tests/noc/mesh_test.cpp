@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -423,5 +426,261 @@ TEST(Mesh, LeakDebtIsRepaidOnlyFromStagedReturns) {
             mesh.total_flits_routed() - mesh.ni(src).flits_sent() -
                 mesh.ni(mid).flits_sent());
 }
+
+// --- Express worms (mesh.h) -------------------------------------------
+
+/// A message one ScriptedTraffic injects: `bytes` from `src` to `dst`,
+/// first offered at cycle `at` (and every cycle after while the NI is
+/// full).
+struct Injection {
+  Cycle at;
+  EngineId src;
+  EngineId dst;
+  std::size_t bytes;
+};
+
+/// Injects a fixed script of messages, drains every NI each cycle, and
+/// records a per-cycle fingerprint of every NoC counter and credit.
+/// Always active and registered after the Mesh, so it observes the state
+/// at the end of each cycle's Mesh tick in both kernels.
+class ScriptedTraffic : public Component {
+ public:
+  ScriptedTraffic(Mesh& mesh, std::vector<Injection> script)
+      : Component("script"), mesh_(mesh), script_(std::move(script)) {}
+
+  void tick(Cycle now) override {
+    while (next_ < script_.size() && script_[next_].at <= now) {
+      const Injection& in = script_[next_];
+      NetworkInterface& ni = mesh_.ni(in.src);
+      if (!ni.can_inject()) break;
+      ni.inject(packet_of_size(in.bytes), in.dst, now);
+      ++next_;
+    }
+    std::uint64_t fingerprint[6] = {};
+    for (int t = 0; t < mesh_.tiles(); ++t) {
+      const EngineId tile{static_cast<std::uint16_t>(t)};
+      NetworkInterface& ni = mesh_.ni(tile);
+      while (auto msg = ni.try_receive(now)) {
+        received_at_.push_back(now);
+        msg->set_fate(MessageFate::kConsumed);
+      }
+      const Router& r = mesh_.router(tile);
+      fingerprint[0] += r.flits_routed();
+      fingerprint[1] += r.stall_cycles();
+      for (int d = 0; d < 4; ++d) {
+        fingerprint[2] += r.credits(static_cast<Direction>(d)) * (t * 4 + d + 1);
+      }
+      fingerprint[3] += ni.flits_sent();
+      fingerprint[4] += ni.messages_sent() + (ni.messages_received() << 20);
+    }
+    fingerprint[5] = mesh_.credit_flushes();
+    per_cycle_.insert(per_cycle_.end(), std::begin(fingerprint),
+                      std::end(fingerprint));
+  }
+
+  bool done() const {
+    return next_ == script_.size() && received_at_.size() == script_.size();
+  }
+  const std::vector<Cycle>& received_at() const { return received_at_; }
+  const std::vector<std::uint64_t>& per_cycle() const { return per_cycle_; }
+
+ private:
+  Mesh& mesh_;
+  std::vector<Injection> script_;
+  std::size_t next_ = 0;
+  std::vector<Cycle> received_at_;
+  std::vector<std::uint64_t> per_cycle_;
+};
+
+struct WormRun {
+  std::vector<std::uint64_t> counters;  ///< final per-router/NI counters
+  std::vector<std::uint64_t> per_cycle;
+  std::vector<Cycle> received_at;
+  std::vector<std::string> trace;  ///< message ids by first appearance
+  std::uint64_t express = 0;
+  std::uint64_t express_at_fault = 0;
+  Cycle final_cycle = 0;
+};
+
+/// Runs `script` on a mesh built from `cfg` under `mode` until every
+/// message is received; `fault`, if set, runs at cycle `fault_at` (after
+/// the express count is sampled there).
+WormRun run_worms(SimMode mode, const MeshConfig& cfg,
+                  std::vector<Injection> script,
+                  const std::function<void(Mesh&)>& fault = {},
+                  Cycle fault_at = 0) {
+  Simulator sim(Frequency::megahertz(500), mode);
+  Mesh mesh(cfg, sim);
+  ScriptedTraffic traffic(mesh, std::move(script));
+  sim.add(&traffic);
+  sim.telemetry().tracer().enable();
+  WormRun out;
+  if (fault) {
+    sim.schedule_at(fault_at, [&] {
+      out.express_at_fault = mesh.express_worms();
+      fault(mesh);
+    });
+  }
+  EXPECT_TRUE(sim.run_until([&] { return traffic.done(); }, 200000));
+  sim.run(50);  // drain the last credit returns
+  out.final_cycle = sim.now();
+  for (int t = 0; t < mesh.tiles(); ++t) {
+    const EngineId tile{static_cast<std::uint16_t>(t)};
+    const Router& r = mesh.router(tile);
+    out.counters.insert(out.counters.end(),
+                        {r.flits_routed(), r.stall_cycles(),
+                         r.flits_delayed(), r.credit_violations()});
+    for (int d = 0; d < 4; ++d) {
+      out.counters.push_back(r.credits(static_cast<Direction>(d)));
+    }
+    const NetworkInterface& ni = mesh.ni(tile);
+    out.counters.insert(out.counters.end(),
+                        {ni.messages_sent(), ni.messages_received(),
+                         ni.flits_sent()});
+  }
+  out.counters.push_back(mesh.credit_flushes());
+  out.per_cycle = traffic.per_cycle();
+  out.received_at = traffic.received_at();
+  const auto& tracer = sim.telemetry().tracer();
+  std::map<std::uint64_t, std::size_t> ids;
+  for (const auto& e : tracer.events()) {
+    const auto [it, _] = ids.emplace(e.msg.value, ids.size());
+    out.trace.push_back(std::to_string(e.cycle) + " " +
+                        tracer.name_of(e.where) + " " +
+                        std::to_string(static_cast<int>(e.kind)) + " " +
+                        std::to_string(e.arg) + " #" +
+                        std::to_string(it->second));
+  }
+  out.express = mesh.express_worms();
+  return out;
+}
+
+/// Runs both kernels and checks the event kernel — the only one that
+/// expresses — reproduces the dense one on every counter, every credit,
+/// every cycle's fingerprint, every delivery cycle and every trace event.
+/// Returns the event run.
+WormRun expect_dense_equals_event(const MeshConfig& cfg,
+                                  const std::vector<Injection>& script,
+                                  const std::function<void(Mesh&)>& fault = {},
+                                  Cycle fault_at = 0) {
+  const WormRun dense =
+      run_worms(SimMode::kStrictTick, cfg, script, fault, fault_at);
+  WormRun event =
+      run_worms(SimMode::kEventDriven, cfg, script, fault, fault_at);
+  EXPECT_EQ(dense.express, 0u);  // dense stays the flit-level reference
+  EXPECT_EQ(dense.counters, event.counters);
+  EXPECT_EQ(dense.per_cycle, event.per_cycle);
+  EXPECT_EQ(dense.received_at, event.received_at);
+  EXPECT_EQ(dense.trace, event.trace);
+  EXPECT_EQ(dense.final_cycle, event.final_cycle);
+  EXPECT_EQ(event.received_at.size(), script.size());
+  return event;
+}
+
+MeshConfig worm_mesh(int k, std::uint32_t channel_bits,
+                     RoutingAlgo routing = RoutingAlgo::kXY) {
+  MeshConfig cfg;
+  cfg.k = k;
+  cfg.channel_bits = channel_bits;
+  cfg.routing = routing;
+  return cfg;
+}
+
+/// `count` back-to-back messages of `bytes` from `src` to `dst`.
+void add_stream(std::vector<Injection>* script, Cycle at, EngineId src,
+                EngineId dst, std::size_t bytes, int count) {
+  for (int i = 0; i < count; ++i) script->push_back({at, src, dst, bytes});
+}
+
+// Link faults armed while worms stream: the Mesh first materializes every
+// express worm back into real flits, so the flaky link's delays and the
+// leaked credits act on exactly the flits the dense kernel holds.
+TEST(Mesh, ExpressWormsMaterializeWhenLinkFaultsArmMidStream) {
+  const MeshConfig cfg = worm_mesh(4, 64);
+  std::vector<Injection> script;
+  const auto tile = [&](int x, int y) {
+    return EngineId{static_cast<std::uint16_t>(y * cfg.k + x)};
+  };
+  // Hairpins: (0,0) -> (3,1) and back, 1500-byte frames (~190 flits).
+  add_stream(&script, 0, tile(0, 0), tile(3, 1), 1500, 6);
+  add_stream(&script, 0, tile(3, 1), tile(0, 0), 1500, 6);
+  add_stream(&script, 0, tile(0, 2), tile(3, 2), 1500, 6);
+  const auto fault = [&](Mesh& mesh) {
+    mesh.router(tile(2, 0)).fault_link(static_cast<int>(Direction::kWest),
+                                       0.3, 4, 2000, 21);
+    mesh.router(tile(1, 1)).fault_link(static_cast<int>(Direction::kEast),
+                                       0.2, 9, 2000, 22);
+    mesh.router(tile(2, 2)).fault_leak_credits(
+        static_cast<int>(Direction::kWest), 3);
+  };
+  const WormRun event = expect_dense_equals_event(cfg, script, fault, 500);
+  EXPECT_GT(event.express_at_fault, 0u);  // worms were express mid-stream
+  EXPECT_EQ(event.express, event.express_at_fault);  // and never again
+}
+
+// Two sources into one destination: one head waits for the other worm's
+// tail, its flits back up along its path, and the worm goes express with
+// backlogged hops (more than one flit per path input).
+TEST(Mesh, ExpressWormsWithBackloggedHopsMatchDense) {
+  const MeshConfig cfg = worm_mesh(4, 64);
+  const auto tile = [&](int x, int y) {
+    return EngineId{static_cast<std::uint16_t>(y * cfg.k + x)};
+  };
+  std::vector<Injection> script;
+  add_stream(&script, 0, tile(0, 0), tile(3, 3), 1024, 5);
+  add_stream(&script, 3, tile(3, 0), tile(3, 3), 1024, 5);
+  add_stream(&script, 40, tile(0, 3), tile(3, 3), 700, 4);
+  const WormRun event = expect_dense_equals_event(cfg, script);
+  EXPECT_GE(event.express, 10u);
+}
+
+// West-first adaptive routing: a head may pick among several outputs, and
+// a locked worm's output is not free for the others.
+TEST(Mesh, ExpressWormsUnderWestFirstRoutingMatchDense) {
+  const MeshConfig cfg = worm_mesh(4, 64, RoutingAlgo::kWestFirst);
+  const auto tile = [&](int x, int y) {
+    return EngineId{static_cast<std::uint16_t>(y * cfg.k + x)};
+  };
+  std::vector<Injection> script;
+  add_stream(&script, 0, tile(0, 0), tile(3, 3), 800, 4);
+  add_stream(&script, 0, tile(1, 0), tile(3, 2), 800, 4);
+  add_stream(&script, 0, tile(3, 3), tile(0, 1), 800, 4);
+  add_stream(&script, 5, tile(0, 3), tile(2, 0), 800, 4);
+  const WormRun event = expect_dense_equals_event(cfg, script);
+  EXPECT_GT(event.express, 0u);
+}
+
+// A 1-flit message is head and tail at once, and a worm shorter than its
+// path has sent its tail before its head is ejected: neither can stream,
+// so neither goes express.
+TEST(Mesh, SingleFlitAndShortWormsNeverGoExpress) {
+  const auto tile = [](int x, int y) {
+    return EngineId{static_cast<std::uint16_t>(y * 4 + x)};
+  };
+  std::vector<Injection> script;
+  add_stream(&script, 0, tile(0, 0), tile(3, 3), 8, 20);
+  add_stream(&script, 0, tile(3, 0), tile(0, 3), 8, 20);
+  EXPECT_EQ(expect_dense_equals_event(worm_mesh(4, 512), script).express, 0u);
+
+  // 64 wire bytes on 256-bit links: a 3-flit worm over 7 hops.
+  script.clear();
+  add_stream(&script, 0, tile(0, 0), tile(3, 3), 20, 10);
+  add_stream(&script, 0, tile(3, 3), tile(0, 0), 20, 10);
+  EXPECT_EQ(expect_dense_equals_event(worm_mesh(4, 256), script).express, 0u);
+}
+
+// A loopback message (source tile == destination tile) crosses one
+// router, local input to local output, and goes express like any worm.
+TEST(Mesh, LoopbackWormMatchesDense) {
+  const auto tile = [](int x, int y) {
+    return EngineId{static_cast<std::uint16_t>(y * 3 + x)};
+  };
+  std::vector<Injection> script;
+  add_stream(&script, 0, tile(1, 1), tile(1, 1), 600, 3);
+  add_stream(&script, 2, tile(0, 1), tile(1, 1), 300, 2);
+  const WormRun event = expect_dense_equals_event(worm_mesh(3, 64), script);
+  EXPECT_GT(event.express, 0u);
+}
+
 }  // namespace
 }  // namespace panic::noc

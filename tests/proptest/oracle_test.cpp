@@ -4,6 +4,8 @@
 // distinguishes real divergence from bookkeeping noise.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/stats.h"
 #include "proptest/generator.h"
 #include "proptest/oracles.h"
@@ -60,6 +62,24 @@ TEST(Oracles, SingleRunChecksPopulateNothingOnCleanRun) {
   EXPECT_EQ(r.credit_violations, 0u);
   EXPECT_EQ(r.audit_violations, 0u);
   EXPECT_EQ(r.order_violations, 0u);
+}
+
+// A minimized panic_fuzz replay: two KVS tenants' GETs share a request id
+// in flight at the RDMA engine.  Every oracle must pass on it — before the
+// engine keyed its outstanding reads by a tag of its own, one reply was
+// lost and the ordering oracle failed under both kernels.
+TEST(Oracles, RdmaRequestIdCollisionReplayPasses) {
+  std::string error;
+  const auto s = Scenario::load(
+      PANIC_FUZZ_REPLAYS_DIR "/rdma_request_id_collision.scenario", &error);
+  ASSERT_TRUE(s.has_value()) << error;
+  ASSERT_TRUE(s->feasible(/*strict_finite=*/true));
+  RunResult dense;
+  RunResult event;
+  const auto violations = check_scenario(*s, &dense, &event);
+  EXPECT_TRUE(violations.empty()) << to_string(violations);
+  EXPECT_GT(dense.generated, 200u);
+  EXPECT_EQ(dense.generated, event.generated);
 }
 
 TEST(SnapshotDiff, FindsValueAndDistributionChanges) {
